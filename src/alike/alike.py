@@ -15,6 +15,8 @@ returns a structured report.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import random
 import time
@@ -33,6 +35,7 @@ from .exactlinalg import (
     vectorize,
 )
 from .hypercube import (
+    DEFAULT_PROJECTOR_CAP,
     Graph,
     HypercubeContext,
     adjacency,
@@ -50,7 +53,6 @@ from .hypercube import (
 DEFAULT_BRUTE_CAP = 64
 
 _HALF = Fraction(1, 2)
-_ONE = Fraction(1)
 
 
 class SupportPattern:
@@ -120,12 +122,12 @@ class AlikeDecomposition:
     def dims(self):
         return (self.full.dim, self.symmetric.dim, self.antisymmetric.dim)
 
+    @property
+    def parts(self):
+        return {"full": self.full, "sym": self.symmetric, "antisym": self.antisymmetric}
+
     def basis_matrices(self, part="full"):
-        basis = {
-            "full": self.full,
-            "sym": self.symmetric,
-            "antisym": self.antisymmetric,
-        }.get(part)
+        basis = self.parts.get(part)
         if basis is None:
             raise ValueError(f"unknown part {part!r}")
         n = self.graph.n
@@ -140,9 +142,7 @@ def solve_alike(g: Graph, cap=DEFAULT_BRUTE_CAP) -> AlikeDecomposition:
     ambient space, canonicalized, and split by B -> (B +- B^T)/2.
     """
     if g.n > cap:
-        raise CapExceeded(
-            f"brute-force solver capped at {cap} vertices, got {g.n}"
-        )
+        raise CapExceeded(f"brute-force solver capped at {cap} vertices, got {g.n}")
     pattern = SupportPattern.for_graph(g)
     n = g.n
     ent = {}
@@ -208,11 +208,14 @@ def is_alike(g: Graph, b: ExactMatrix) -> AlikeCheck:
     return AlikeCheck(True)
 
 
+def coordinate_pairs(d):
+    """Coordinate pairs (i, j) with 1 <= i < j <= d, in lexicographic order."""
+    return list(itertools.combinations(range(1, d + 1), 2))
+
+
 def closed_form_sym_basis(ctx: HypercubeContext) -> list[ExactMatrix]:
     """The symmetric-part basis [I, alpha_1, ..., alpha_d]."""
-    return [ExactMatrix.identity(ctx.n)] + [
-        alpha(ctx, i) for i in range(1, ctx.d + 1)
-    ]
+    return [ExactMatrix.identity(ctx.n)] + [alpha(ctx, i) for i in range(1, ctx.d + 1)]
 
 
 def b_matrix(ctx: HypercubeContext, i, j) -> ExactMatrix:
@@ -227,11 +230,18 @@ def b_matrix(ctx: HypercubeContext, i, j) -> ExactMatrix:
 
 def closed_form_antisym_basis(ctx: HypercubeContext) -> list[ExactMatrix]:
     """The antisymmetric-part basis [b_ij for 1 <= i < j <= d], lexicographic."""
-    return [
-        b_matrix(ctx, i, j)
-        for i in range(1, ctx.d + 1)
-        for j in range(i + 1, ctx.d + 1)
-    ]
+    return [b_matrix(ctx, i, j) for i, j in coordinate_pairs(ctx.d)]
+
+
+def closed_form_spans(ctx: HypercubeContext) -> dict:
+    """Spans of the closed-form bases, keyed "full", "sym" and "antisym"."""
+    sym = closed_form_sym_basis(ctx)
+    antisym = closed_form_antisym_basis(ctx)
+    return {
+        "full": SubspaceBasis.from_matrices(sym + antisym),
+        "sym": SubspaceBasis.from_matrices(sym),
+        "antisym": SubspaceBasis.from_matrices(antisym, shape=(ctx.n, ctx.n)),
+    }
 
 
 def characterization_residual(ctx: HypercubeContext, b: ExactMatrix, i, j) -> ExactMatrix:
@@ -299,40 +309,70 @@ def bij_action_on_wS(ctx: HypercubeContext, i, j, s):
 
 # -- verification -------------------------------------------------------------
 
-GROUP_NAMES = (
-    "alpha",
-    "eigenbasis",
-    "idempotents",
-    "characterization",
-    "sym_basis",
-    "antisym_basis",
-    "dimensions",
-    "restriction",
-)
-
 SKIP_ALIASES = {"brute": "dimensions"}
+
+# Largest d checked exhaustively, and the sample size above it.
+_EIGEN_EXHAUSTIVE_D, _EIGEN_SAMPLE = 10, 128
+_TABLE_EXHAUSTIVE_D, _TABLE_SAMPLE = 5, 120
+_ORTHO_EXHAUSTIVE_D, _ORTHO_SAMPLE = 6, 150
+
+
+class _Failed(Exception):
+    """Ends a check group at its first failing requirement."""
+
+
+class Checker:
+    """Check count, sampling flag and verdict of one check group.
+
+    ``require`` counts a condition that holds.  On one that fails it records
+    the witness and raises, and ``run`` stops the group there.
+    """
+
+    def __init__(self):
+        self.checks = 0
+        self.sampled = False
+        self.passed = True
+        self.witness = None
+
+    def run(self, group, *args):
+        """Call ``group(self, *args)`` up to its first failure; returns self."""
+        try:
+            group(self, *args)
+        except _Failed:
+            pass
+        return self
+
+    def fail(self, witness):
+        """Fail the group without counting a check."""
+        self.passed = False
+        self.witness = witness
+        raise _Failed
+
+    def require(self, condition, witness):
+        if not condition:
+            self.fail(witness)
+        self.checks += 1
+
+    def extend(self, ok, checks, witness):
+        """Take over the (ok, checks, witness) of a report run elsewhere."""
+        self.checks += checks
+        if not ok:
+            self.fail(witness)
 
 
 @dataclass(frozen=True)
 class GroupResult:
+    # field order is the key order of the serialized report
     name: str
     passed: bool | None
     checks: int
-    witness: str | None = None
+    sampled: bool = False
     skipped: bool = False
     reason: str | None = None
-    sampled: bool = False
+    witness: str | None = None
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": self.checks,
-            "sampled": self.sampled,
-            "skipped": self.skipped,
-            "reason": self.reason,
-            "witness": self.witness,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -347,10 +387,7 @@ class VerificationReport:
         return all(g.skipped or g.passed for g in self.groups)
 
     def group(self, name):
-        for g in self.groups:
-            if g.name == name:
-                return g
-        raise KeyError(name)
+        return {g.name: g for g in self.groups}[name]
 
     def to_dict(self):
         # timings deliberately excluded: the dict is the deterministic payload
@@ -366,13 +403,10 @@ def _matches_sign_vector(ctx, entries, mask, scale):
     """Entries equal scale * W_mask (empty when scale is 0), checked exactly."""
     if scale == 0:
         return not entries
-    if len(entries) != ctx.n:
-        return False
-    for x, v in entries.items():
-        expect = -scale if (mask & x).bit_count() & 1 else scale
-        if v != expect:
-            return False
-    return True
+    return len(entries) == ctx.n and all(
+        v == (-scale if (mask & x).bit_count() & 1 else scale)
+        for x, v in entries.items()
+    )
 
 
 def _random_fraction(rng):
@@ -385,12 +419,13 @@ def _random_nonzero_fraction(rng):
 
 
 def _random_support_matrix(pattern, rng):
-    ent = {}
-    for x, y in pattern:
-        value = _random_fraction(rng)
-        if value:
-            ent[(x, y)] = value
+    ent = {pos: value for pos in pattern if (value := _random_fraction(rng))}
     return ExactMatrix._raw(pattern.n, pattern.n, ent)
+
+
+def _residual_factor(stars, i, j, x, y):
+    """Entry (x, y) of the (i, j) residual divided by B[x, y]."""
+    return (stars[i][x, x] - stars[i][y, y]) * (stars[j][x, x] - stars[j][y, y])
 
 
 def run_characterization_cases(ctx, g: Graph, rng, cases_per_direction):
@@ -401,415 +436,293 @@ def run_characterization_cases(ctx, g: Graph, rng, cases_per_direction):
     distant pair makes the residual for a pair of differing coordinates
     nonzero at exactly that entry.  Returns (ok, checks, witness).
     """
+    check = Checker().run(_characterization_cases, ctx, g, rng, cases_per_direction)
+    return check.passed, check.checks, check.witness
+
+
+def _characterization_cases(check, ctx, g, rng, cases):
     pattern = SupportPattern.for_graph(g)
-    pairs = [
-        (i, j) for i in range(1, ctx.d + 1) for j in range(i + 1, ctx.d + 1)
-    ]
-    checks = 0
-    for case in range(cases_per_direction):
+    pairs = coordinate_pairs(ctx.d)
+    for case in range(cases):
         b = _random_support_matrix(pattern, rng)
         for i, j in pairs:
-            if characterization_residual(ctx, b, i, j).entries:
-                return (
-                    False,
-                    checks,
-                    f"supported case {case}: residual ({i},{j}) is nonzero",
-                )
-            checks += 1
+            residual = characterization_residual(ctx, b, i, j)
+            check.require(
+                not residual.entries,
+                f"supported case {case}: residual ({i},{j}) is nonzero",
+            )
     # pairs must differ in at least two coordinates so a residual pair exists
     outside = [
         (x, y)
-        for x in range(g.n)
-        for y in range(g.n)
-        if x != y and not g.has_edge(x, y) and (x ^ y).bit_count() >= 2
+        for x, y in itertools.product(range(g.n), repeat=2)
+        if (x ^ y).bit_count() >= 2 and not g.has_edge(x, y)
     ]
-    if outside and pairs:
-        stars = {i: alpha_star(ctx, i) for i in range(1, ctx.d + 1)}
-        for case in range(cases_per_direction):
-            x, y = rng.choice(outside)
-            planted = _random_nonzero_fraction(rng)
-            b = _random_support_matrix(pattern, rng)
-            ent = dict(b.entries)
-            ent[(x, y)] = planted
-            b = ExactMatrix._raw(g.n, g.n, ent)
-            diff = x ^ y
-            i = diff & -diff
-            j = (diff & ~i) & -(diff & ~i)
-            ci = i.bit_length()
-            cj = j.bit_length()
-            residual = characterization_residual(ctx, b, ci, cj)
-            fi = stars[ci][x, x] - stars[ci][y, y]
-            fj = stars[cj][x, x] - stars[cj][y, y]
-            expect = fi * fj * planted
-            got = residual[x, y]
-            if not expect or got != expect:
-                return (
-                    False,
-                    checks,
-                    f"planted case {case}: residual ({ci},{cj}) at {(x, y)} is "
-                    f"{got}, expected {expect}",
-                )
-            checks += 1
-    return True, checks, None
+    if not (outside and pairs):
+        return
+    stars = {i: alpha_star(ctx, i) for i in range(1, ctx.d + 1)}
+    for case in range(cases):
+        x, y = rng.choice(outside)
+        planted = _random_nonzero_fraction(rng)
+        b = _random_support_matrix(pattern, rng)
+        b = ExactMatrix._raw(g.n, g.n, {**b.entries, (x, y): planted})
+        i, j = ctx.coords_of(x ^ y)[:2]
+        got = characterization_residual(ctx, b, i, j)[x, y]
+        expect = _residual_factor(stars, i, j, x, y) * planted
+        check.require(
+            expect != 0 and got == expect,
+            f"planted case {case}: residual ({i},{j}) at {(x, y)} is {got}, "
+            f"expected {expect}",
+        )
 
 
-def _group_alpha(ctx, g):
+def _group_alpha(check, ctx, g, rng):
     d, n = ctx.d, ctx.n
-    checks = 0
     ident = ExactMatrix.identity(n)
     alphas = {i: alpha(ctx, i) for i in range(1, d + 1)}
     stars = {i: alpha_star(ctx, i) for i in range(1, d + 1)}
     for i in range(1, d + 1):
-        if alphas[i] @ alphas[i] != ident:
-            return False, checks, f"alpha_{i}^2 != I", False
-        if stars[i] @ stars[i] != ident:
-            return False, checks, f"alpha_star_{i}^2 != I", False
-        if alpha_via_kron(ctx, i) != alphas[i]:
-            return False, checks, f"alpha_{i} != its Kronecker chain", False
-        if alpha_star_via_kron(ctx, i) != stars[i]:
-            return False, checks, f"alpha_star_{i} != its Kronecker chain", False
-        checks += 4
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            if alphas[i] @ alphas[j] != alphas[j] @ alphas[i]:
-                return False, checks, f"alpha_{i} and alpha_{j} do not commute", False
-            if stars[i] @ stars[j] != stars[j] @ stars[i]:
-                return (
-                    False,
-                    checks,
-                    f"alpha_star_{i} and alpha_star_{j} do not commute",
-                    False,
-                )
-            checks += 2
-            if i == j:
-                if alphas[i] @ stars[i] != -(stars[i] @ alphas[i]):
-                    return (
-                        False,
-                        checks,
-                        f"alpha_{i} and alpha_star_{i} do not anticommute",
-                        False,
-                    )
-            else:
-                if alphas[i] @ stars[j] != stars[j] @ alphas[i]:
-                    return (
-                        False,
-                        checks,
-                        f"alpha_{i} and alpha_star_{j} do not commute",
-                        False,
-                    )
-            checks += 1
-    total = ExactMatrix.zeros(n)
-    for i in range(1, d + 1):
-        total = total + alphas[i]
-    if total != adjacency(g):
-        return False, checks, "sum of alpha_i is not the adjacency matrix", False
-    checks += 1
-    return True, checks, None, False
+        check.require(alphas[i] @ alphas[i] == ident, f"alpha_{i}^2 != I")
+        check.require(stars[i] @ stars[i] == ident, f"alpha_star_{i}^2 != I")
+        chain = alpha_via_kron(ctx, i)
+        check.require(chain == alphas[i], f"alpha_{i} != its Kronecker chain")
+        chain = alpha_star_via_kron(ctx, i)
+        check.require(chain == stars[i], f"alpha_star_{i} != its Kronecker chain")
+    for i, j in itertools.product(range(1, d + 1), repeat=2):
+        commute = alphas[i] @ alphas[j] == alphas[j] @ alphas[i]
+        check.require(commute, f"alpha_{i} and alpha_{j} do not commute")
+        commute = stars[i] @ stars[j] == stars[j] @ stars[i]
+        check.require(commute, f"alpha_star_{i} and alpha_star_{j} do not commute")
+        # alpha_i anticommutes with alpha_star_i and commutes with the others
+        rhs = stars[j] @ alphas[i]
+        relation = "anticommute" if i == j else "commute"
+        holds = alphas[i] @ stars[j] == (-rhs if i == j else rhs)
+        check.require(holds, f"alpha_{i} and alpha_star_{j} do not {relation}")
+    total = sum(alphas.values(), ExactMatrix.zeros(n))
+    check.require(total == adjacency(g), "sum of alpha_i is not the adjacency matrix")
 
 
-def _group_eigenbasis(ctx, rng, exhaustive_cap=10, sample_size=128):
+def _group_eigenbasis(check, ctx, g, rng):
     d, n = ctx.d, ctx.n
-    checks = 0
     alphas = {i: alpha(ctx, i) for i in range(1, d + 1)}
     stars = {i: alpha_star(ctx, i) for i in range(1, d + 1)}
     adj = cube_adjacency(ctx)
-    sampled = d > exhaustive_cap
-    if sampled:
+    masks = range(n)
+    if d > _EIGEN_EXHAUSTIVE_D:
+        check.sampled = True
         masks = {0, n - 1}
-        while len(masks) < sample_size:
+        while len(masks) < _EIGEN_SAMPLE:
             masks.add(rng.randrange(n))
         masks = sorted(masks)
-    else:
-        masks = range(n)
     for mask in masks:
         vec = scaled_eigenvector(ctx, mask).vec
         for i in range(1, d + 1):
             bit = 1 << (i - 1)
-            moved = alphas[i].matvec(vec)
-            sign = -1 if mask & bit else 1
-            if not _matches_sign_vector(ctx, moved.entries, mask, sign):
-                return False, checks, f"alpha_{i} action wrong on mask {mask}", sampled
-            starred = stars[i].matvec(vec)
-            if not _matches_sign_vector(ctx, starred.entries, mask ^ bit, 1):
-                return (
-                    False,
-                    checks,
-                    f"alpha_star_{i} action wrong on mask {mask}",
-                    sampled,
-                )
-            checks += 2
-        image = adj.matvec(vec)
-        eigenvalue = d - 2 * mask.bit_count()
-        if not _matches_sign_vector(ctx, image.entries, mask, eigenvalue):
-            return (
-                False,
-                checks,
-                f"adjacency action wrong on mask {mask}",
-                sampled,
-            )
-        checks += 1
-    if d <= 6:
+            moved = alphas[i].matvec(vec).entries
+            ok = _matches_sign_vector(ctx, moved, mask, -1 if mask & bit else 1)
+            check.require(ok, f"alpha_{i} action wrong on mask {mask}")
+            starred = stars[i].matvec(vec).entries
+            ok = _matches_sign_vector(ctx, starred, mask ^ bit, 1)
+            check.require(ok, f"alpha_star_{i} action wrong on mask {mask}")
+        image = adj.matvec(vec).entries
+        ok = _matches_sign_vector(ctx, image, mask, d - 2 * mask.bit_count())
+        check.require(ok, f"adjacency action wrong on mask {mask}")
+    if d <= _ORTHO_EXHAUSTIVE_D:
         vecs = {m: scaled_eigenvector(ctx, m).vec for m in range(n)}
-        pair_iter = ((s, t) for s in range(n) for t in range(n))
+        pairs = itertools.product(range(n), repeat=2)
     else:
-        pair_iter = []
-        for _ in range(150):
-            s = rng.randrange(n)
-            pair_iter.append((s, s if rng.random() < 0.3 else rng.randrange(n)))
+        check.sampled = True
         vecs = None
-        sampled = True
-    for s, t in pair_iter:
+        pairs = []
+        for _ in range(_ORTHO_SAMPLE):
+            s = rng.randrange(n)
+            pairs.append((s, s if rng.random() < 0.3 else rng.randrange(n)))
+    for s, t in pairs:
         vs = vecs[s] if vecs else scaled_eigenvector(ctx, s).vec
         vt = vecs[t] if vecs else scaled_eigenvector(ctx, t).vec
         expect = n if s == t else 0
-        if vs.inner(vt) != expect:
-            return False, checks, f"<W_{s}, W_{t}> != {expect}", sampled
-        checks += 1
-    return True, checks, None, sampled
+        check.require(vs.inner(vt) == expect, f"<W_{s}, W_{t}> != {expect}")
 
 
-def _group_characterization(ctx, g, rng, cases):
-    ok, checks, witness = run_characterization_cases(ctx, g, rng, cases)
-    if not ok:
-        return False, checks, witness, False
+def _group_characterization(check, ctx, g, rng):
+    # residuals cost O(C(d,2) * cube size) per case; keep big cubes snappy
+    cases = 50 if ctx.d <= 5 else 12 if ctx.d <= 8 else 4
+    _characterization_cases(check, ctx, g, rng, cases)
     # residual route vs entrywise product formula, on unrestricted matrices
+    n = ctx.n
     stars = {i: alpha_star(ctx, i) for i in range(1, ctx.d + 1)}
-    pairs = [(i, j) for i in range(1, ctx.d + 1) for j in range(i + 1, ctx.d + 1)]
+    pairs = coordinate_pairs(ctx.d)
     for _ in range(5):
         ent = {}
-        for _ in range(3 * ctx.n):
-            x = rng.randrange(ctx.n)
-            y = rng.randrange(ctx.n)
-            value = _random_fraction(rng)
+        for _ in range(3 * n):
+            x, y, value = rng.randrange(n), rng.randrange(n), _random_fraction(rng)
             if value:
                 ent[(x, y)] = value
-        b = ExactMatrix._raw(ctx.n, ctx.n, ent)
+        b = ExactMatrix._raw(n, n, ent)
         chosen = pairs if ctx.d <= 5 else rng.sample(pairs, 10)
         for i, j in chosen:
             residual = characterization_residual(ctx, b, i, j)
             formula = {}
             for (x, y), value in b.entries.items():
-                fi = stars[i][x, x] - stars[i][y, y]
-                fj = stars[j][x, x] - stars[j][y, y]
-                product = fi * fj * value
+                product = _residual_factor(stars, i, j, x, y) * value
                 if product:
                     formula[(x, y)] = product
-            if residual.entries != formula:
-                return (
-                    False,
-                    checks,
-                    f"residual ({i},{j}) disagrees with the entrywise formula",
-                    False,
-                )
-            checks += 1
+            check.require(
+                residual.entries == formula,
+                f"residual ({i},{j}) disagrees with the entrywise formula",
+            )
     if 2 <= ctx.d <= 6:
-        for p in range(1, ctx.d + 1):
-            for q in range(p + 1, ctx.d + 1):
-                b = b_matrix(ctx, p, q)
-                for i, j in pairs:
-                    if characterization_residual(ctx, b, i, j).entries:
-                        return (
-                            False,
-                            checks,
-                            f"residual ({i},{j}) of b_{p}{q} is nonzero",
-                            False,
-                        )
-                    checks += 1
-    return True, checks, None, False
+        for p, q in pairs:
+            b = b_matrix(ctx, p, q)
+            for i, j in pairs:
+                residual = characterization_residual(ctx, b, i, j)
+                check.require(
+                    not residual.entries, f"residual ({i},{j}) of b_{p}{q} is nonzero"
+                )
 
 
-def _group_sym_basis(ctx, g):
-    d = ctx.d
-    checks = 0
+def _group_sym_basis(check, ctx, g, rng):
     mats = closed_form_sym_basis(ctx)
-    if len(mats) != d + 1:
-        return False, checks, "symmetric basis has the wrong length", False
+    if len(mats) != ctx.d + 1:
+        check.fail("symmetric basis has the wrong length")
     supports = []
     for idx, m in enumerate(mats):
         verdict = is_alike(g, m)
-        if not verdict:
-            return (
-                False,
-                checks,
-                f"symmetric basis element {idx} fails membership "
-                f"({verdict.failed_condition} at {verdict.position})",
-                False,
-            )
-        if not m.is_symmetric():
-            return False, checks, f"symmetric basis element {idx} not symmetric", False
-        diag = {m[x, x] for x in range(ctx.n)}
-        if len(diag) != 1:
-            return (
-                False,
-                checks,
-                f"symmetric basis element {idx} has a nonconstant diagonal",
-                False,
-            )
+        check.require(
+            verdict,
+            f"symmetric basis element {idx} fails membership "
+            f"({verdict.failed_condition} at {verdict.position})",
+        )
+        check.require(m.is_symmetric(), f"symmetric basis element {idx} not symmetric")
+        constant = len({m[x, x] for x in range(ctx.n)}) == 1
+        check.require(
+            constant, f"symmetric basis element {idx} has a nonconstant diagonal"
+        )
         supports.append(set(m.entries))
-        checks += 3
-    for a in range(len(supports)):
-        for b in range(a + 1, len(supports)):
-            if supports[a] & supports[b]:
-                return False, checks, "symmetric basis supports overlap", False
-            checks += 1
-    if SubspaceBasis.from_matrices(mats).dim != d + 1:
-        return False, checks, "symmetric basis is linearly dependent", False
-    checks += 1
-    return True, checks, None, False
+    for a, b in itertools.combinations(supports, 2):
+        check.require(not a & b, "symmetric basis supports overlap")
+    independent = SubspaceBasis.from_matrices(mats).dim == ctx.d + 1
+    check.require(independent, "symmetric basis is linearly dependent")
 
 
-def _group_antisym_basis(ctx, g, rng, exhaustive_cap=5, sample_size=120):
+def _group_antisym_basis(check, ctx, g, rng):
     d, n = ctx.d, ctx.n
-    checks = 0
     adj = cube_adjacency(ctx)
     alphas = {i: alpha(ctx, i) for i in range(1, d + 1)}
     stars = {i: alpha_star(ctx, i) for i in range(1, d + 1)}
-    pairs = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+    pairs = coordinate_pairs(d)
     mats = {}
     for i, j in pairs:
-        b = b_matrix(ctx, i, j)
-        mats[(i, j)] = b
-        product_form = (stars[i] @ stars[j] @ (alphas[i] - alphas[j])).scale(2)
-        if b != product_form:
-            return (
-                False,
-                checks,
-                f"b_{i}{j} != 2 s_{i} s_{j} (alpha_{i} - alpha_{j})",
-                False,
-            )
-        if b.transpose() != -b:
-            return False, checks, f"b_{i}{j} is not antisymmetric", False
-        if commutator(b, adj).entries:
-            return False, checks, f"b_{i}{j} does not commute with the adjacency", False
+        b = mats[(i, j)] = b_matrix(ctx, i, j)
+        product = (stars[i] @ stars[j] @ (alphas[i] - alphas[j])).scale(2)
+        check.require(
+            b == product, f"b_{i}{j} != 2 s_{i} s_{j} (alpha_{i} - alpha_{j})"
+        )
+        check.require(b.transpose() == -b, f"b_{i}{j} is not antisymmetric")
+        commutes = not commutator(b, adj).entries
+        check.require(commutes, f"b_{i}{j} does not commute with the adjacency")
         verdict = is_alike(g, b)
-        if not verdict:
-            return (
-                False,
-                checks,
-                f"b_{i}{j} fails membership ({verdict.failed_condition})",
-                False,
-            )
-        checks += 4
+        check.require(
+            verdict, f"b_{i}{j} fails membership ({verdict.failed_condition})"
+        )
         for ell in range(1, d + 1):
             lhs = b @ alphas[ell]
             rhs = alphas[ell] @ b
-            if ell in (i, j):
-                rhs = -rhs
-            if lhs != rhs:
-                return (
-                    False,
-                    checks,
-                    f"b_{i}{j} sign relation with alpha_{ell} fails",
-                    False,
-                )
-            checks += 1
-    sampled = d > exhaustive_cap
-    if sampled:
-        combos = []
-        for _ in range(sample_size):
-            i, j = rng.choice(pairs) if pairs else (None, None)
-            combos.append((i, j, rng.randrange(n)))
+            ok = lhs == (-rhs if ell in (i, j) else rhs)
+            check.require(ok, f"b_{i}{j} sign relation with alpha_{ell} fails")
+    if d > _TABLE_EXHAUSTIVE_D:
+        check.sampled = True
+        combos = [(*rng.choice(pairs), rng.randrange(n)) for _ in range(_TABLE_SAMPLE)]
     else:
         combos = [(i, j, mask) for (i, j) in pairs for mask in range(n)]
     for i, j, mask in combos:
         coeff, target = bij_action_on_wS(ctx, i, j, mask)
-        image = mats[(i, j)].matvec(scaled_eigenvector(ctx, mask).vec)
-        if not _matches_sign_vector(ctx, image.entries, target or 0, coeff):
-            return (
-                False,
-                checks,
-                f"b_{i}{j} action on mask {mask} does not match the table",
-                sampled,
-            )
-        checks += 1
-    if pairs:
-        if SubspaceBasis.from_matrices(list(mats.values())).dim != len(pairs):
-            return False, checks, "antisymmetric basis is linearly dependent", sampled
-        checks += 1
-    return True, checks, None, sampled
-
-
-def _group_idempotents(ctx, cap):
-    data = eigen_data(ctx, cap=cap)
-    ok, checks, witness = idempotent_report(ctx, data)
-    return ok, checks, witness, False
-
-
-def _group_dimensions(ctx, g, cap):
-    d, n = ctx.d, ctx.n
-    checks = 0
-    decomposition = solve_alike(g, cap=cap)
-    expected = (1 + d + math.comb(d, 2), d + 1, math.comb(d, 2))
-    if decomposition.dims != expected:
-        return (
-            False,
-            checks,
-            f"solver dims {decomposition.dims} != formula {expected}",
-            False,
+        image = mats[(i, j)].matvec(scaled_eigenvector(ctx, mask).vec).entries
+        check.require(
+            _matches_sign_vector(ctx, image, target or 0, coeff),
+            f"b_{i}{j} action on mask {mask} does not match the table",
         )
-    checks += 1
-    sym_mats = closed_form_sym_basis(ctx)
-    antisym_mats = closed_form_antisym_basis(ctx)
-    closed_full = SubspaceBasis.from_matrices(sym_mats + antisym_mats)
-    closed_sym = SubspaceBasis.from_matrices(sym_mats)
-    closed_antisym = SubspaceBasis.from_matrices(antisym_mats, shape=(n, n))
-    for label, got, want in (
-        ("full", decomposition.full, closed_full),
-        ("sym", decomposition.symmetric, closed_sym),
-        ("antisym", decomposition.antisymmetric, closed_antisym),
-    ):
-        if not span_equal(got, want):
-            return (
-                False,
-                checks,
-                f"solver {label} span differs from the closed form",
-                False,
-            )
-        checks += 1
-    return True, checks, None, False
+    if pairs:
+        independent = SubspaceBasis.from_matrices(list(mats.values())).dim == len(pairs)
+        check.require(independent, "antisymmetric basis is linearly dependent")
 
 
-def _group_restriction(ctx):
+def _group_dimensions(check, ctx, g, rng):
     d = ctx.d
-    checks = 0
+    # verify_all skips the group for graphs above the caller's solver cap
+    decomposition = solve_alike(g, cap=g.n)
+    expected = (1 + d + math.comb(d, 2), d + 1, math.comb(d, 2))
+    got = decomposition.dims
+    check.require(got == expected, f"solver dims {got} != formula {expected}")
+    for label, closed in closed_form_spans(ctx).items():
+        same = span_equal(decomposition.parts[label], closed)
+        check.require(same, f"solver {label} span differs from the closed form")
+
+
+def _group_restriction(check, ctx, g, rng):
+    d = ctx.d
     restrictions = []
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            m = restriction_to_E1(ctx, b_matrix(ctx, i, j))
-            expected = ExactMatrix(
-                d, d, {(i - 1, j - 1): 4, (j - 1, i - 1): -4}
-            )
-            if m != expected:
-                return (
-                    False,
-                    checks,
-                    f"restriction of b_{i}{j} is not 4(e_{i}e_{j}^T - e_{j}e_{i}^T)",
-                    False,
-                )
-            if not m.is_antisymmetric():
-                return False, checks, f"restriction of b_{i}{j} not antisymmetric", False
-            restrictions.append(m)
-            checks += 2
+    for i, j in coordinate_pairs(d):
+        m = restriction_to_E1(ctx, b_matrix(ctx, i, j))
+        expected = ExactMatrix(d, d, {(i - 1, j - 1): 4, (j - 1, i - 1): -4})
+        check.require(
+            m == expected,
+            f"restriction of b_{i}{j} is not 4(e_{i}e_{j}^T - e_{j}e_{i}^T)",
+        )
+        check.require(
+            m.is_antisymmetric(), f"restriction of b_{i}{j} not antisymmetric"
+        )
+        restrictions.append(m)
     if restrictions:
-        if SubspaceBasis.from_matrices(restrictions).dim != math.comb(d, 2):
-            return (
-                False,
-                checks,
-                "restrictions do not span the antisymmetric space",
-                False,
-            )
-        checks += 1
-    return True, checks, None, False
+        spanning = SubspaceBasis.from_matrices(restrictions).dim == math.comb(d, 2)
+        check.require(spanning, "restrictions do not span the antisymmetric space")
+
+
+def _skip_projectors(ctx, g, brute_cap):
+    if ctx.d > DEFAULT_PROJECTOR_CAP:
+        return f"dense projectors capped at d<={DEFAULT_PROJECTOR_CAP}"
+    return None
+
+
+def _skip_solver(ctx, g, brute_cap):
+    if g.n > brute_cap:
+        return f"brute-force solver capped at {brute_cap} vertices"
+    return None
+
+
+#: Check group name -> (run(checker, ctx, graph, rng), skip(ctx, graph,
+#: brute_cap) giving the reason the group is skipped, or None to run it).  A
+#: group reaches the functions it checks through this module's globals at call
+#: time, so a tracer that patches those names sees every call.
+GROUPS = {
+    "alpha": (_group_alpha, None),
+    "eigenbasis": (_group_eigenbasis, None),
+    "idempotents": (
+        lambda check, ctx, g, rng: check.extend(
+            *idempotent_report(ctx, eigen_data(ctx))
+        ),
+        _skip_projectors,
+    ),
+    "characterization": (_group_characterization, None),
+    "sym_basis": (_group_sym_basis, None),
+    "antisym_basis": (_group_antisym_basis, None),
+    "dimensions": (_group_dimensions, _skip_solver),
+    "restriction": (_group_restriction, None),
+}
+
+GROUP_NAMES = tuple(GROUPS)
+
+
+def resolve_groups(names):
+    """Canonical check-group names; 'brute' is an alias of 'dimensions'."""
+    resolved = [SKIP_ALIASES.get(name, name) for name in names]
+    unknown = [name for name in resolved if name not in GROUPS]
+    if unknown:
+        raise ValueError(f"unknown check group: {', '.join(map(repr, unknown))}")
+    return resolved
 
 
 def verify_all(
-    ctx: HypercubeContext,
-    groups=None,
-    seed=0,
-    graph=None,
-    brute_cap=DEFAULT_BRUTE_CAP,
-    projector_cap=8,
-    characterization_cases=None,
+    ctx: HypercubeContext, groups=None, seed=0, graph=None, brute_cap=DEFAULT_BRUTE_CAP
 ) -> VerificationReport:
     """Run the selected identity-check groups and collect a report.
 
@@ -820,66 +733,22 @@ def verify_all(
     failed.  Per-group wall-clock timings are kept on the report object but
     stay out of ``to_dict`` so serialized reports are deterministic.
     """
-    if groups is None:
-        selected = list(GROUP_NAMES)
-    else:
-        selected = [SKIP_ALIASES.get(name, name) for name in groups]
-        unknown = [name for name in selected if name not in GROUP_NAMES]
-        if unknown:
-            raise ValueError(f"unknown check groups: {', '.join(sorted(unknown))}")
+    selected = GROUP_NAMES if groups is None else resolve_groups(groups)
     if graph is None:
-        graph = hypercube(ctx.d, cap=max(ctx.d, 12))[0]
-    if characterization_cases is None:
-        # residuals cost O(C(d,2) * cube size) per case; keep big cubes snappy
-        characterization_cases = 50 if ctx.d <= 5 else 12 if ctx.d <= 8 else 4
+        graph = hypercube(ctx.d, cap=ctx.d)[0]
     report = VerificationReport(d=ctx.d, seed=seed)
-    for name in GROUP_NAMES:
+    for name, (run, skip) in GROUPS.items():
         if name not in selected:
             continue
-        rng = random.Random(f"{seed}:{name}")
         start = time.perf_counter()
-        if name == "idempotents" and ctx.d > projector_cap:
-            result = GroupResult(
-                name,
-                None,
-                0,
-                skipped=True,
-                reason=f"dense projectors capped at d<={projector_cap}",
-            )
-        elif name == "dimensions" and graph.n > brute_cap:
-            result = GroupResult(
-                name,
-                None,
-                0,
-                skipped=True,
-                reason=f"brute-force solver capped at {brute_cap} vertices",
-            )
+        reason = skip(ctx, graph, brute_cap) if skip else None
+        if reason:
+            result = GroupResult(name, None, 0, skipped=True, reason=reason)
         else:
-            if name == "alpha":
-                passed, checks, witness, sampled = _group_alpha(ctx, graph)
-            elif name == "eigenbasis":
-                passed, checks, witness, sampled = _group_eigenbasis(ctx, rng)
-            elif name == "idempotents":
-                passed, checks, witness, sampled = _group_idempotents(
-                    ctx, projector_cap
-                )
-            elif name == "characterization":
-                passed, checks, witness, sampled = _group_characterization(
-                    ctx, graph, rng, characterization_cases
-                )
-            elif name == "sym_basis":
-                passed, checks, witness, sampled = _group_sym_basis(ctx, graph)
-            elif name == "antisym_basis":
-                passed, checks, witness, sampled = _group_antisym_basis(
-                    ctx, graph, rng
-                )
-            elif name == "dimensions":
-                passed, checks, witness, sampled = _group_dimensions(
-                    ctx, graph, brute_cap
-                )
-            else:
-                passed, checks, witness, sampled = _group_restriction(ctx)
-            result = GroupResult(name, passed, checks, witness, sampled=sampled)
+            check = Checker().run(run, ctx, graph, random.Random(f"{seed}:{name}"))
+            result = GroupResult(
+                name, check.passed, check.checks, check.sampled, witness=check.witness
+            )
         report.timings[name] = time.perf_counter() - start
         report.groups.append(result)
     return report

@@ -20,14 +20,16 @@ import os
 import sys
 
 from .alike import (
+    DEFAULT_BRUTE_CAP,
     GROUP_NAMES,
-    SKIP_ALIASES,
     closed_form_antisym_basis,
+    closed_form_spans,
     closed_form_sym_basis,
+    coordinate_pairs,
+    resolve_groups,
     solve_alike,
     verify_all,
 )
-from .exactlinalg import CapExceeded, SubspaceBasis
 from .hypercube import DEFAULT_CONSTRUCTION_CAP, hypercube, load_graph
 
 PARTS = ("full", "sym", "antisym")
@@ -44,104 +46,31 @@ def _positive_int(text):
     return value
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="alike",
-        description=(
-            "Compute and verify the space of matrices that commute with a "
-            "graph's adjacency matrix and vanish off the diagonal-plus-edges "
-            "support, including the closed-form hypercube bases."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_source(p, graph_allowed=True):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument(
-            "--hypercube",
-            type=_positive_int,
-            metavar="D",
-            help="use the D-dimensional hypercube",
-        )
-        if graph_allowed:
-            group.add_argument(
-                "--graph", metavar="PATH", help="use a JSON graph file"
-            )
-
-    def add_common(p):
-        p.add_argument(
-            "--seed", type=int, default=0, help="seed for randomized checks"
-        )
-        p.add_argument(
-            "--cap-bruteforce",
-            type=_positive_int,
-            default=64,
-            metavar="N",
-            help="vertex cap for the brute-force solver (default 64)",
-        )
-
-    p_dims = sub.add_parser("dims", help="dimensions of the space and its parts")
-    add_source(p_dims)
-    add_common(p_dims)
-
-    p_basis = sub.add_parser("basis", help="emit basis matrices")
-    add_source(p_basis)
-    add_common(p_basis)
-    p_basis.add_argument("--part", choices=PARTS, default="full")
-    p_basis.add_argument("--format", choices=FORMATS, default="json")
-
-    p_solve = sub.add_parser("solve", help="brute-force solve and emit the result")
-    add_source(p_solve)
-    add_common(p_solve)
-    p_solve.add_argument("--part", choices=PARTS, default="full")
-    p_solve.add_argument("--format", choices=FORMATS, default="json")
-
-    p_verify = sub.add_parser("verify", help="run the identity-check groups")
-    add_source(p_verify, graph_allowed=False)
-    add_common(p_verify)
-    p_verify.add_argument(
-        "--skip",
-        default="",
-        metavar="GROUP,...",
-        help=f"groups to skip (of: {', '.join(GROUP_NAMES)}; 'brute' means dimensions)",
-    )
-
-    p_compare = sub.add_parser(
-        "compare", help="compare solver output with the closed-form bases"
-    )
-    add_source(p_compare, graph_allowed=False)
-    add_common(p_compare)
-
-    return parser
-
-
 def _construction_cap():
     raw = os.environ.get("ALIKE_CAP_D")
     if raw is None:
         return DEFAULT_CONSTRUCTION_CAP
     try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"ALIKE_CAP_D must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError("ALIKE_CAP_D must be positive")
-    return cap
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"ALIKE_CAP_D: {exc}") from None
 
 
 def _emit(payload):
     print(json.dumps(payload, indent=2))
 
 
-def _matrix_payload(label, matrix):
-    return {
-        "label": label,
-        "rows": matrix.rows,
-        "cols": matrix.cols,
-        "entries": [[str(v) for v in row] for row in matrix.to_rows()],
-    }
+def _matrix_payload(label, m):
+    entries = [[str(v) for v in row] for row in m.to_rows()]
+    return {"label": label, "rows": m.rows, "cols": m.cols, "entries": entries}
 
 
-def _emit_triplets(labeled):
+def _emit_matrices(args, labeled, payload):
+    """Write labeled matrices as triplets, or as ``payload`` plus "matrices"."""
+    if args.format == "json":
+        payload["matrices"] = [_matrix_payload(label, m) for label, m in labeled]
+        _emit(payload)
+        return 0
     lines = []
     for label, matrix in labeled:
         lines.append(f"matrix {label} rows={matrix.rows} cols={matrix.cols}")
@@ -149,29 +78,18 @@ def _emit_triplets(labeled):
             lines.append(f"{r} {c} {v}")
         lines.append("")
     sys.stdout.write("\n".join(lines))
+    return 0
 
 
 def _closed_form_matrices(ctx, part):
-    sym = list(_labeled_sym(ctx))
-    index_pairs = [
-        (i, j) for i in range(1, ctx.d + 1) for j in range(i + 1, ctx.d + 1)
-    ]
-    antisym = [
-        (f"b_{i}_{j}", m)
-        for (i, j), m in zip(index_pairs, closed_form_antisym_basis(ctx))
-    ]
-    if part == "sym":
-        return sym
-    if part == "antisym":
-        return antisym
-    return sym + antisym
-
-
-def _labeled_sym(ctx):
-    mats = closed_form_sym_basis(ctx)
-    yield "identity", mats[0]
-    for i, m in enumerate(mats[1:], start=1):
-        yield f"alpha_{i}", m
+    labeled = []
+    if part != "antisym":
+        labels = ["identity"] + [f"alpha_{i}" for i in range(1, ctx.d + 1)]
+        labeled += zip(labels, closed_form_sym_basis(ctx))
+    if part != "sym":
+        labels = [f"b_{i}_{j}" for i, j in coordinate_pairs(ctx.d)]
+        labeled += zip(labels, closed_form_antisym_basis(ctx))
+    return labeled
 
 
 def _solved_matrices(decomposition, part):
@@ -182,78 +100,44 @@ def _solved_matrices(decomposition, part):
 
 
 def _source_payload(args):
-    if args.hypercube is not None:
-        return {
-            "type": "hypercube",
-            "d": args.hypercube,
-            "vertices": 1 << args.hypercube,
-        }
-    return {"type": "graph", "path": args.graph}
+    if args.hypercube is None:
+        return {"type": "graph", "path": args.graph}
+    return {"type": "hypercube", "d": args.hypercube, "vertices": 1 << args.hypercube}
 
 
 def _load(args):
     cap = _construction_cap()
     if args.hypercube is not None:
-        graph, ctx = hypercube(args.hypercube, cap=cap)
-        return graph, ctx
+        return hypercube(args.hypercube, cap=cap)
     return load_graph(args.graph), None
+
+
+def _dims(decomposition):
+    total, sym, antisym = decomposition.dims
+    return {"sym": sym, "antisym": antisym, "total": total}
 
 
 def cmd_dims(args):
     graph, ctx = _load(args)
     payload = {"source": _source_payload(args)}
     if ctx is None:
-        decomposition = solve_alike(graph, cap=args.cap_bruteforce)
-        total, sym, antisym = decomposition.dims
         payload["source"]["vertices"] = graph.n
-        payload.update({"sym": sym, "antisym": antisym, "total": total})
+        payload.update(_dims(solve_alike(graph, cap=args.cap_bruteforce)))
         _emit(payload)
         return 0
-    d, n = ctx.d, ctx.n
-    sym_mats = closed_form_sym_basis(ctx)
-    antisym_mats = closed_form_antisym_basis(ctx)
-    sym = SubspaceBasis.from_matrices(sym_mats).dim
-    antisym = SubspaceBasis.from_matrices(antisym_mats, shape=(n, n)).dim
-    total = SubspaceBasis.from_matrices(sym_mats + antisym_mats).dim
-    formula = {
-        "sym": d + 1,
-        "antisym": math.comb(d, 2),
-        "total": 1 + d + math.comb(d, 2),
-    }
-    agrees = (sym, antisym, total) == (
-        formula["sym"],
-        formula["antisym"],
-        formula["total"],
-    )
-    payload.update(
-        {
-            "sym": sym,
-            "antisym": antisym,
-            "total": total,
-            "formula": formula,
-            "formula_agrees": agrees,
-        }
-    )
-    ok = agrees
-    if n <= args.cap_bruteforce:
-        brute_total, brute_sym, brute_antisym = solve_alike(
-            graph, cap=args.cap_bruteforce
-        ).dims
-        brute_agrees = (brute_total, brute_sym, brute_antisym) == (
-            total,
-            sym,
-            antisym,
-        )
-        payload["bruteforce"] = {
-            "within_cap": True,
-            "sym": brute_sym,
-            "antisym": brute_antisym,
-            "total": brute_total,
-            "agrees": brute_agrees,
-        }
-        ok = ok and brute_agrees
-    else:
-        payload["bruteforce"] = {"within_cap": False}
+    d = ctx.d
+    spans = closed_form_spans(ctx)
+    dims = {"sym": spans["sym"].dim, "antisym": spans["antisym"].dim}
+    dims["total"] = spans["full"].dim
+    formula = {"sym": d + 1, "antisym": math.comb(d, 2)}
+    formula["total"] = 1 + d + math.comb(d, 2)
+    ok = dims == formula
+    payload.update(dims, formula=formula, formula_agrees=ok)
+    payload["bruteforce"] = {"within_cap": ctx.n <= args.cap_bruteforce}
+    if ctx.n <= args.cap_bruteforce:
+        brute = _dims(solve_alike(graph, cap=args.cap_bruteforce))
+        payload["bruteforce"].update(brute, agrees=brute == dims)
+        ok = ok and brute == dims
     _emit(payload)
     return 0 if ok else 1
 
@@ -265,110 +149,103 @@ def cmd_basis(args):
     else:
         decomposition = solve_alike(graph, cap=args.cap_bruteforce)
         labeled = _solved_matrices(decomposition, args.part)
-    if args.format == "triplet":
-        _emit_triplets(labeled)
-        return 0
-    _emit(
-        {
-            "source": _source_payload(args),
-            "part": args.part,
-            "count": len(labeled),
-            "matrices": [_matrix_payload(label, m) for label, m in labeled],
-        }
-    )
-    return 0
+    payload = {"source": _source_payload(args), "part": args.part}
+    payload["count"] = len(labeled)
+    return _emit_matrices(args, labeled, payload)
 
 
 def cmd_solve(args):
     graph, _ctx = _load(args)
     decomposition = solve_alike(graph, cap=args.cap_bruteforce)
     total, sym, antisym = decomposition.dims
+    dims = {"total": total, "sym": sym, "antisym": antisym}
+    payload = {"source": _source_payload(args), "dims": dims, "part": args.part}
     labeled = _solved_matrices(decomposition, args.part)
-    if args.format == "triplet":
-        _emit_triplets(labeled)
-        return 0
-    _emit(
-        {
-            "source": _source_payload(args),
-            "dims": {"total": total, "sym": sym, "antisym": antisym},
-            "part": args.part,
-            "matrices": [_matrix_payload(label, m) for label, m in labeled],
-        }
-    )
-    return 0
-
-
-def _parse_skip(text):
-    if not text:
-        return []
-    names = []
-    for raw in text.split(","):
-        name = raw.strip()
-        if not name:
-            continue
-        name = SKIP_ALIASES.get(name, name)
-        if name not in GROUP_NAMES:
-            raise ValueError(f"unknown check group: {raw.strip()!r}")
-        names.append(name)
-    return names
+    return _emit_matrices(args, labeled, payload)
 
 
 def cmd_verify(args):
-    cap = _construction_cap()
-    graph, ctx = hypercube(args.hypercube, cap=cap)
-    skip = set(_parse_skip(args.skip))
+    graph, ctx = _load(args)
+    skip = resolve_groups(name.strip() for name in args.skip.split(",") if name.strip())
     groups = [name for name in GROUP_NAMES if name not in skip]
-    report = verify_all(ctx, groups=groups, seed=args.seed, graph=graph)
-    for name in GROUP_NAMES:
-        if name in report.timings:
-            print(
-                f"[timing] {name}: {report.timings[name]:.3f}s", file=sys.stderr
-            )
+    report = verify_all(
+        ctx, groups=groups, seed=args.seed, graph=graph, brute_cap=args.cap_bruteforce
+    )
+    for name, seconds in report.timings.items():
+        print(f"[timing] {name}: {seconds:.3f}s", file=sys.stderr)
     _emit(report.to_dict())
     return 0 if report.all_passed else 1
 
 
 def cmd_compare(args):
-    cap = _construction_cap()
-    graph, ctx = hypercube(args.hypercube, cap=cap)
-    decomposition = solve_alike(graph, cap=args.cap_bruteforce)
-    n = ctx.n
-    sym_mats = closed_form_sym_basis(ctx)
-    antisym_mats = closed_form_antisym_basis(ctx)
-    closed = {
-        "full": SubspaceBasis.from_matrices(sym_mats + antisym_mats),
-        "sym": SubspaceBasis.from_matrices(sym_mats),
-        "antisym": SubspaceBasis.from_matrices(antisym_mats, shape=(n, n)),
-    }
-    solved = {
-        "full": decomposition.full,
-        "sym": decomposition.symmetric,
-        "antisym": decomposition.antisymmetric,
-    }
-    payload = {"d": ctx.d, "vertices": n}
-    for part in PARTS:
-        payload[part] = solved[part] == closed[part]
+    graph, ctx = _load(args)
+    solved = solve_alike(graph, cap=args.cap_bruteforce).parts
+    closed = closed_form_spans(ctx)
+    payload = {"d": ctx.d, "vertices": ctx.n}
+    payload.update({part: solved[part] == closed[part] for part in PARTS})
     payload["all_equal"] = all(payload[part] for part in PARTS)
     _emit(payload)
     return 0 if payload["all_equal"] else 1
 
 
+#: Subcommand -> (handler, help, accepts --graph, takes --part and --format).
+COMMANDS = {
+    "dims": (cmd_dims, "dimensions of the space and its parts", True, False),
+    "basis": (cmd_basis, "emit basis matrices", True, True),
+    "solve": (cmd_solve, "brute-force solve and emit the result", True, True),
+    "verify": (cmd_verify, "run the identity-check groups", False, False),
+    "compare": (
+        cmd_compare, "compare solver output with the closed-form bases", False, False
+    ),
+}
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="alike",
+        description=(
+            "Compute and verify the space of matrices that commute with a "
+            "graph's adjacency matrix and vanish off the diagonal-plus-edges "
+            "support, including the closed-form hypercube bases."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, graph_allowed, emits_matrices) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument(
+            "--hypercube",
+            type=_positive_int,
+            metavar="D",
+            help="use the D-dimensional hypercube",
+        )
+        if graph_allowed:
+            source.add_argument("--graph", metavar="PATH", help="use a JSON graph file")
+        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        p.add_argument(
+            "--cap-bruteforce",
+            type=_positive_int,
+            default=DEFAULT_BRUTE_CAP,
+            metavar="N",
+            help=f"vertex cap for the brute-force solver (default {DEFAULT_BRUTE_CAP})",
+        )
+        if emits_matrices:
+            p.add_argument("--part", choices=PARTS, default="full")
+            p.add_argument("--format", choices=FORMATS, default="json")
+    sub.choices["verify"].add_argument(
+        "--skip",
+        default="",
+        metavar="GROUP,...",
+        help=f"groups to skip (of: {', '.join(GROUP_NAMES)}; 'brute' means dimensions)",
+    )
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "dims": cmd_dims,
-        "basis": cmd_basis,
-        "solve": cmd_solve,
-        "verify": cmd_verify,
-        "compare": cmd_compare,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        return COMMANDS[args.command][0](args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

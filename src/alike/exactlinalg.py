@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -57,12 +55,6 @@ class ExactVector:
     @classmethod
     def from_list(cls, values):
         return cls(len(values), enumerate(values))
-
-    def to_list(self):
-        out = [_ZERO] * self.n
-        for i, v in self.entries.items():
-            out[i] = v
-        return out
 
     def __getitem__(self, i):
         if not 0 <= i < self.n:

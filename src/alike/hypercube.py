@@ -429,11 +429,7 @@ def idempotent_report(ctx: HypercubeContext, data: EigenData):
         return False, checks, "projectors do not sum to the identity"
     checks += 1
     weighted = sum((d - 2 * i) * arr for i, arr in enumerate(scaled))
-    adj = np.zeros((n, n), dtype=np.int64)
-    for x in range(n):
-        for b in range(d):
-            adj[x, x ^ (1 << b)] = 1
-    if not np.array_equal(weighted, n * adj):
+    if not np.array_equal(weighted, _as_scaled_int_array(ctx, cube_adjacency(ctx))):
         return False, checks, "eigenvalue-weighted projector sum is not the adjacency"
     checks += 1
     if not np.array_equal(scaled[0], np.ones((n, n), dtype=np.int64)):

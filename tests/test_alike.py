@@ -469,13 +469,28 @@ def test_verify_all_skips_capped_groups():
         assert group.reason
 
 
-def test_verify_all_detects_corrupted_adjacency():
+# (checks passed before the failing one, witness) of each group that reads
+# the graph, on the corrupted Q2
+CORRUPTED_Q2_FAILURES = {
+    "alpha": (20, "sum of alpha_i is not the adjacency matrix"),
+    "characterization": (0, "supported case 0: residual (1,2) is nonzero"),
+    "sym_basis": (
+        3,
+        "symmetric basis element 1 fails membership (commute at (0, 2))",
+    ),
+    "antisym_basis": (3, "b_12 fails membership (commute)"),
+    "dimensions": (0, "solver dims (3, 3, 0) != formula (4, 3, 1)"),
+}
+
+
+@pytest.mark.parametrize("name", list(CORRUPTED_Q2_FAILURES))
+def test_verify_all_detects_corrupted_adjacency(name):
     _, ctx = hypercube(2)
-    report = verify_all(ctx, groups=["characterization"], seed=0, graph=corrupted_q2())
-    group = report.group("characterization")
+    report = verify_all(ctx, groups=[name], seed=0, graph=corrupted_q2())
+    group = report.group(name)
     assert not report.all_passed
     assert group.passed is False
-    assert group.witness is not None
+    assert (group.checks, group.witness) == CORRUPTED_Q2_FAILURES[name]
 
 
 def test_verify_report_is_deterministic():

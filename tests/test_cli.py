@@ -183,6 +183,16 @@ def test_verify_q5_with_skips_passes(capsys):
     assert len(data["groups"]) == 6
 
 
+def test_verify_honours_cap_bruteforce(capsys):
+    code, data, _ = run_json(
+        capsys, "verify", "--hypercube", "3", "--cap-bruteforce", "4"
+    )
+    assert code == 0
+    group = next(g for g in data["groups"] if g["name"] == "dimensions")
+    assert group["skipped"] is True
+    assert group["reason"] == "brute-force solver capped at 4 vertices"
+
+
 def test_verify_unknown_skip_group(capsys):
     code, _, err = run_cli(capsys, "verify", "--hypercube", "2", "--skip", "bogus")
     assert code == 2
@@ -263,7 +273,7 @@ def test_verify_failure_maps_to_exit_code_1(capsys, monkeypatch):
     import alike.cli as cli
     from alike.alike import GroupResult, VerificationReport
 
-    def fake_verify_all(ctx, groups=None, seed=0, graph=None):
+    def fake_verify_all(ctx, groups=None, seed=0, graph=None, brute_cap=64):
         report = VerificationReport(d=ctx.d, seed=seed)
         report.groups.append(GroupResult("alpha", False, 1, witness="forced"))
         return report
