@@ -29,6 +29,7 @@ from .exactlinalg import (
     ExactVector,
     SubspaceBasis,
     commutator,
+    exact_quotient,
     nullspace,
     span_equal,
     unvectorize,
@@ -51,8 +52,6 @@ from .hypercube import (
 )
 
 DEFAULT_BRUTE_CAP = 64
-
-_HALF = Fraction(1, 2)
 
 
 class SupportPattern:
@@ -98,7 +97,7 @@ class AlikeCheck:
     ok: bool
     failed_condition: str | None = None
     position: tuple | None = None
-    value: Fraction | None = None
+    value: int | Fraction | None = None
 
     def __bool__(self):
         return self.ok
@@ -161,7 +160,7 @@ def solve_alike(g: Graph, cap=DEFAULT_BRUTE_CAP) -> AlikeDecomposition:
             row = {k: c for k, c in coeffs.items() if c}
             if row:
                 for k, c in row.items():
-                    ent[(nrows, k)] = Fraction(c)
+                    ent[(nrows, k)] = c
                 nrows += 1
     system = ExactMatrix._raw(max(nrows, 1), len(pattern), ent)
     kernel = nullspace(system)
@@ -185,8 +184,9 @@ def solve_alike(g: Graph, cap=DEFAULT_BRUTE_CAP) -> AlikeDecomposition:
                 "solution space is not transpose-closed; "
                 "this cannot happen for an undirected graph"
             )
-        sym_vecs.append(vectorize((b + bt).scale(_HALF)))
-        antisym_vecs.append(vectorize((b - bt).scale(_HALF)))
+        # the parts are (b +- bt) / 2; a span ignores the factor 1/2
+        sym_vecs.append(vectorize(b + bt))
+        antisym_vecs.append(vectorize(b - bt))
     symmetric = SubspaceBasis(n * n, sym_vecs)
     antisymmetric = SubspaceBasis(n * n, antisym_vecs)
     if symmetric.dim + antisymmetric.dim != full.dim:
@@ -280,7 +280,7 @@ def restriction_to_E1(ctx: HypercubeContext, b: ExactMatrix) -> ExactMatrix:
     for s in range(1, ctx.d + 1):
         image = b.matvec(singles[s - 1])
         for t in range(1, ctx.d + 1):
-            value = singles[t - 1].inner(image) / ctx.n
+            value = exact_quotient(singles[t - 1].inner(image), ctx.n)
             if value:
                 ent[(t - 1, s - 1)] = value
     return ExactMatrix._raw(ctx.d, ctx.d, ent)
@@ -384,7 +384,9 @@ class VerificationReport:
 
     @property
     def all_passed(self):
-        return all(g.skipped or g.passed for g in self.groups)
+        """True when at least one group ran and every group that ran passed."""
+        ran = [g for g in self.groups if not g.skipped]
+        return bool(ran) and all(g.passed for g in ran)
 
     def group(self, name):
         return {g.name: g for g in self.groups}[name]
@@ -731,9 +733,13 @@ def verify_all(
     solve); it exists so tests can feed corrupted data and watch the checks
     fail.  Groups whose size caps are exceeded are reported as skipped, not
     failed.  Per-group wall-clock timings are kept on the report object but
-    stay out of ``to_dict`` so serialized reports are deterministic.
+    stay out of ``to_dict`` so serialized reports are deterministic.  An
+    empty selection is a ``ValueError``: a report that checked nothing must
+    not read as a pass.
     """
     selected = GROUP_NAMES if groups is None else resolve_groups(groups)
+    if not selected:
+        raise ValueError("no check group selected")
     if graph is None:
         graph = hypercube(ctx.d, cap=ctx.d)[0]
     report = VerificationReport(d=ctx.d, seed=seed)

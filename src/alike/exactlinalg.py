@@ -1,8 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Sparse vectors and matrices with ``fractions.Fraction`` entries, Kronecker
+Sparse vectors and matrices with exact rational entries, Kronecker
 products, fraction-free elimination, and canonical reduced-echelon bases
-for comparing subspaces exactly.  No floating point anywhere.  Values are
+for comparing subspaces exactly.  Entries are ``int`` or
+``fractions.Fraction``: constructors and the elimination routines store an
+integral value as an ``int``, so integer matrices never pay for ``Fraction``
+arithmetic.  (Arithmetic on ``Fraction`` entries may still leave an integral
+``Fraction``, which compares, hashes and prints like the ``int``.)  No
+floating point anywhere: a float entry is a ``TypeError``.  Values are
 treated as immutable: every operation returns a new object, so instances
 are safe to share across threads.
 """
@@ -10,10 +15,11 @@ are safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 class CapExceeded(ValueError):
@@ -21,7 +27,40 @@ class CapExceeded(ValueError):
 
 
 def _rat(value):
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """Canonical exact scalar: an int, or a Fraction with denominator > 1."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"exact entries are int or Fraction, not {type(value).__name__}")
+
+
+def exact_quotient(num, den):
+    """num / den as a canonical exact scalar; never a float.
+
+    ``num`` and ``den`` are ints or Fractions.  The result is an int when the
+    quotient is integral, otherwise a Fraction.
+    """
+    if type(num) is int and type(den) is int:
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+    return _rat(Fraction(num, den))
+
+
+def _merge(a, b, op):
+    """Entry dict of op(a, b), op being operator.add or operator.sub.
+
+    Both dicts hold nonzero entries only; cancelled entries are dropped.
+    """
+    out = dict(a)
+    get = out.get
+    for key, v in b.items():
+        s = op(get(key, _ZERO), v)
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
 
 
 class ExactVector:
@@ -46,7 +85,7 @@ class ExactVector:
 
     @classmethod
     def _raw(cls, n, entries):
-        # entries must already be a dict of in-range index -> nonzero Fraction
+        # entries must already be a dict of in-range index -> nonzero canonical scalar
         vec = object.__new__(cls)
         vec.n = n
         vec.entries = entries
@@ -85,17 +124,14 @@ class ExactVector:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("vector length mismatch")
-        out = dict(self.entries)
-        for i, v in other.entries.items():
-            s = out.get(i, _ZERO) + v
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
-        return ExactVector._raw(self.n, out)
+        return ExactVector._raw(self.n, _merge(self.entries, other.entries, operator.add))
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, ExactVector):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValueError("vector length mismatch")
+        return ExactVector._raw(self.n, _merge(self.entries, other.entries, operator.sub))
 
     def __neg__(self):
         return ExactVector._raw(self.n, {i: -v for i, v in self.entries.items()})
@@ -218,17 +254,16 @@ class ExactMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix dimension mismatch in addition")
-        out = dict(self.entries)
-        for key, v in other.entries.items():
-            s = out.get(key, _ZERO) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        out = _merge(self.entries, other.entries, operator.add)
         return ExactMatrix._raw(self.rows, self.cols, out)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix dimension mismatch in subtraction")
+        out = _merge(self.entries, other.entries, operator.sub)
+        return ExactMatrix._raw(self.rows, self.cols, out)
 
     def __neg__(self):
         return ExactMatrix._raw(
@@ -527,7 +562,7 @@ class SubspaceBasis:
         self.pivots = tuple(piv_cols)
         self.vectors = tuple(
             ExactVector._raw(
-                ambient_dim, {c: Fraction(v, row[pc]) for c, v in row.items()}
+                ambient_dim, {c: exact_quotient(v, row[pc]) for c, v in row.items()}
             )
             for pc, row in zip(piv_cols, rows)
         )
@@ -601,7 +636,7 @@ def nullspace(m: ExactMatrix) -> SubspaceBasis:
     piv_cols, rows = _rref_int(_int_rows_of_matrix(m), m.cols)
     pivset = set(piv_cols)
     frac_rows = [
-        {c: Fraction(v, row[pc]) for c, v in row.items()}
+        {c: exact_quotient(v, row[pc]) for c, v in row.items()}
         for pc, row in zip(piv_cols, rows)
     ]
     basis = []

@@ -16,7 +16,6 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .exactlinalg import (
     CapExceeded,
     ExactMatrix,
     ExactVector,
+    exact_quotient,
     kron,
     rank,
 )
@@ -31,8 +31,8 @@ from .exactlinalg import (
 DEFAULT_CONSTRUCTION_CAP = 12
 DEFAULT_PROJECTOR_CAP = 8
 
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+_ONE = 1
+_MINUS_ONE = -1
 
 #: 2x2 factor that swaps the two basis states of one coordinate.
 FLIP2 = ExactMatrix.from_rows([[0, 1], [1, 0]])
@@ -360,7 +360,7 @@ def eigen_data(ctx: HypercubeContext, cap=DEFAULT_PROJECTOR_CAP) -> EigenData:
         for x, row in enumerate(scaled.tolist()):
             for y, v in enumerate(row):
                 if v:
-                    ent[(x, y)] = Fraction(v, n)
+                    ent[(x, y)] = exact_quotient(v, n)
         items.append(
             EigenItem(ctx.d - 2 * i, math.comb(ctx.d, i), ExactMatrix._raw(n, n, ent))
         )
@@ -372,10 +372,11 @@ def _as_scaled_int_array(ctx, matrix):
     n = ctx.n
     arr = np.zeros((n, n), dtype=np.int64)
     for (x, y), v in matrix.entries.items():
-        scaled = v * n
-        if scaled.denominator != 1:
+        # v is in lowest terms, so n * v is integral iff its denominator divides n
+        q, r = divmod(n, v.denominator)
+        if r:
             return None
-        arr[x, y] = scaled.numerator
+        arr[x, y] = v.numerator * q
     return arr
 
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from alike.alike import (
+    GroupResult,
     SupportPattern,
+    VerificationReport,
     b_matrix,
     bij_action_on_wS,
     characterization_residual,
@@ -21,6 +23,7 @@ from alike.exactlinalg import (
     ExactMatrix,
     ExactVector,
     SubspaceBasis,
+    nullspace,
     span_equal,
 )
 from alike.hypercube import (
@@ -28,6 +31,8 @@ from alike.hypercube import (
     adjacency,
     alpha,
     alpha_star,
+    cube_adjacency,
+    eigen_data,
     hypercube,
     scaled_eigenvector,
 )
@@ -463,10 +468,26 @@ def test_verify_all_brute_alias():
 def test_verify_all_skips_capped_groups():
     _, ctx = hypercube(9, cap=9)
     report = verify_all(ctx, groups=["idempotents", "dimensions"], seed=0)
-    assert report.all_passed  # skipped groups do not fail the run
+    assert not report.all_passed  # every group was skipped: nothing was checked
     for group in report.groups:
         assert group.skipped
         assert group.reason
+
+
+def test_verify_all_rejects_an_empty_selection():
+    _, ctx = hypercube(2)
+    with pytest.raises(ValueError, match="no check group"):
+        verify_all(ctx, groups=[])
+
+
+def test_all_passed_needs_a_group_that_ran():
+    ran = GroupResult("alpha", True, 3)
+    skipped = GroupResult("dimensions", None, 0, skipped=True, reason="capped")
+    failed = GroupResult("alpha", False, 1, witness="forced")
+    assert VerificationReport(2, 0, [ran, skipped]).all_passed
+    assert not VerificationReport(2, 0, [skipped]).all_passed
+    assert not VerificationReport(2, 0, []).all_passed
+    assert not VerificationReport(2, 0, [failed, skipped]).all_passed
 
 
 # (checks passed before the failing one, witness) of each group that reads
@@ -498,3 +519,45 @@ def test_verify_report_is_deterministic():
     first = verify_all(ctx, seed=9).to_dict()
     second = verify_all(ctx, seed=9).to_dict()
     assert first == second
+
+
+# -- scalar types -----------------------------------------------------------------
+
+
+def _entries(*objects):
+    return [v for obj in objects for v in obj.entries.values()]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_scalar_types_are_canonical(d):
+    """Integral values are ints, other values Fractions, and nothing is a float."""
+    _, ctx = hypercube(d)
+    coords = range(1, d + 1)
+    bs = [b_matrix(ctx, i, j) for i in coords for j in coords if i < j]
+    integral = _entries(
+        *(alpha(ctx, i) for i in coords),
+        *(alpha_star(ctx, i) for i in coords),
+        cube_adjacency(ctx),
+        *bs,
+        *(scaled_eigenvector(ctx, mask).vec for mask in range(ctx.n)),
+    )
+    assert {type(v) for v in integral} == {int}
+
+    third = cube_adjacency(ctx).scale(Fraction(1, 3))
+    restricted = restriction_to_E1(ctx, third)
+    assert restricted == ExactMatrix.identity(d).scale(Fraction(d - 2, 3))
+    rng = random.Random(d)
+    rational = ExactMatrix.from_rows(
+        [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)] for _ in range(3)]
+    )
+    exact = _entries(
+        *(item.idempotent for item in eigen_data(ctx).items),
+        *(restriction_to_E1(ctx, b) for b in bs),
+        restricted,
+        *nullspace(rational),
+        *SubspaceBasis(5, [ExactVector.from_list(row) for row in rational.to_rows()]),
+        *solve_alike(path_graph(d + 1)).full,
+    )
+    assert exact
+    for v in exact:
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), v

@@ -9,7 +9,7 @@ from fractions import Fraction
 from alike.cli import main
 from alike.exactlinalg import ExactMatrix
 from alike.hypercube import hypercube
-from alike.alike import is_alike
+from alike.alike import GROUP_NAMES, is_alike
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +197,14 @@ def test_verify_unknown_skip_group(capsys):
     code, _, err = run_cli(capsys, "verify", "--hypercube", "2", "--skip", "bogus")
     assert code == 2
     assert "unknown check group" in err
+
+
+def test_verify_skipping_every_group_is_usage_error(capsys):
+    skip = ",".join(GROUP_NAMES)
+    code, out, err = run_cli(capsys, "verify", "--hypercube", "2", "--skip", skip)
+    assert code == 2
+    assert out == ""
+    assert "no check group selected" in err
 
 
 def test_verify_dimension_zero_is_usage_error(capsys):

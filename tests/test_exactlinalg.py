@@ -8,6 +8,7 @@ from alike.exactlinalg import (
     ExactVector,
     SubspaceBasis,
     commutator,
+    exact_quotient,
     kron,
     kron_vec,
     nullspace,
@@ -124,6 +125,10 @@ def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         a + b
     with pytest.raises(ValueError):
+        a - b
+    with pytest.raises(ValueError):
+        ExactVector(2) - ExactVector(3)
+    with pytest.raises(ValueError):
         a.matvec(ExactVector(3))
 
 
@@ -148,6 +153,29 @@ def test_arithmetic_is_exact():
     for _ in range(3):
         total = total + m
     assert total == ExactMatrix.identity(1)
+
+
+def test_entries_are_canonical_exact_scalars():
+    m = ExactMatrix(1, 3, {(0, 0): Fraction(4, 2), (0, 1): True, (0, 2): Fraction(1, 2)})
+    assert [type(v) for _, v in m.sorted_items()] == [int, int, Fraction]
+    assert m == ExactMatrix.from_rows([[2, 1, Fraction(1, 2)]])
+    assert type(exact_quotient(6, -3)) is int and exact_quotient(6, -3) == -2
+    assert exact_quotient(1, 3) == Fraction(1, 3)
+    assert type(exact_quotient(Fraction(3, 2), Fraction(1, 2))) is int
+    difference = m - ExactMatrix.from_rows([[2, 0, Fraction(1, 2)]])
+    assert difference.entries == {(0, 1): 1}
+
+
+@pytest.mark.parametrize("bad", [2.0, 0.5, "1", None, complex(1, 0)])
+def test_non_exact_entries_are_rejected(bad):
+    with pytest.raises(TypeError):
+        ExactMatrix(1, 1, {(0, 0): bad})
+    with pytest.raises(TypeError):
+        ExactVector(1, {0: bad})
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows([[bad]])
+    with pytest.raises(TypeError):
+        ExactMatrix.identity(1).scale(bad)
 
 
 # -- vectorize ----------------------------------------------------------------
@@ -222,7 +250,8 @@ def test_rank_small_cases():
 
 def naive_rref(dense):
     """Textbook dense Gaussian elimination over Fraction; test-side oracle."""
-    rows = [list(r) for r in dense]
+    # Fraction, not the int entries to_rows() gives: int / int is a float
+    rows = [[Fraction(v) for v in r] for r in dense]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivot_cols = []
