@@ -2,11 +2,12 @@
 
 For a graph with adjacency matrix A, call B "A-like" when B commutes with A
 and every entry of B at a pair of distinct non-adjacent vertices is zero.
-These matrices form a transpose-closed subspace, so it splits into a
-symmetric and an antisymmetric part.
+A is symmetric, so B -> B^T maps these matrices onto themselves and the
+space is the direct sum of its symmetric and antisymmetric parts.
 
-This module computes that space for any small graph by exact constraint
-solving, and for the d-cube also builds the closed-form bases:
+This module computes both parts for any small graph exactly, as two
+independent linear systems, and for the d-cube also builds the closed-form
+bases:
 {I, alpha_1..alpha_d} for the symmetric part and the matrices
 b_ij = alpha_star_i A alpha_star_j - alpha_star_j A alpha_star_i for the
 antisymmetric part.  ``verify_all`` drives the whole identity suite and
@@ -33,7 +34,6 @@ from .exactlinalg import (
     nullspace,
     span_equal,
     unvectorize,
-    vectorize,
 )
 from .hypercube import (
     DEFAULT_PROJECTOR_CAP,
@@ -54,40 +54,14 @@ from .hypercube import (
 DEFAULT_BRUTE_CAP = 64
 
 
-class SupportPattern:
-    """Deterministic ordering of the allowed nonzero positions.
+def support_positions(g: Graph):
+    """The allowed nonzero positions in a fixed order.
 
     All diagonal cells (x, x) by vertex index first, then for each edge
     {u, v} with u < v (edges sorted) the pair (u, v) followed by (v, u).
-    The position index doubles as the unknown index in the solver.
     """
-
-    __slots__ = ("n", "positions", "_index")
-
-    def __init__(self, n, positions):
-        self.n = n
-        self.positions = tuple(positions)
-        self._index = {pos: k for k, pos in enumerate(self.positions)}
-
-    @classmethod
-    def for_graph(cls, g: Graph):
-        positions = [(x, x) for x in range(g.n)]
-        for u, v in sorted(g.edges):
-            positions.append((u, v))
-            positions.append((v, u))
-        return cls(g.n, positions)
-
-    def __len__(self):
-        return len(self.positions)
-
-    def __iter__(self):
-        return iter(self.positions)
-
-    def __getitem__(self, k):
-        return self.positions[k]
-
-    def index_of(self, x, y):
-        return self._index.get((x, y))
+    edges = [p for u, v in sorted(g.edges) for p in ((u, v), (v, u))]
+    return tuple([(x, x) for x in range(g.n)] + edges)
 
 
 @dataclass(frozen=True)
@@ -112,7 +86,6 @@ class AlikeDecomposition:
     """
 
     graph: Graph
-    support: SupportPattern
     full: SubspaceBasis
     symmetric: SubspaceBasis
     antisymmetric: SubspaceBasis
@@ -133,65 +106,59 @@ class AlikeDecomposition:
         return [unvectorize(v, n, n) for v in basis]
 
 
-def solve_alike(g: Graph, cap=DEFAULT_BRUTE_CAP) -> AlikeDecomposition:
-    """Solve the commutation constraints over the support pattern exactly.
+def _solve_part(g: Graph, sign) -> SubspaceBasis:
+    """Canonical span of the A-like B with B^T = sign * B, sign being +1 or -1.
 
-    Unknowns are the support positions; each matrix cell of B A - A B yields
-    one linear equation.  The kernel is re-embedded into the n^2 vectorized
-    ambient space, canonicalized, and split by B -> (B +- B^T)/2.
+    The unknowns are B[u, v] for each edge u < v (B[v, u] is sign times it),
+    preceded for the symmetric part by the n diagonal cells.  Each cell of
+    C = B A - A B is one linear equation, and C^T = -sign * C, so only the
+    cells x < y (symmetric part) or x <= y (antisymmetric part) are needed.
     """
-    if g.n > cap:
-        raise CapExceeded(f"brute-force solver capped at {cap} vertices, got {g.n}")
-    pattern = SupportPattern.for_graph(g)
     n = g.n
+    cells = [[(x, x, 1)] for x in range(n)] if sign > 0 else []
+    cells += [[(u, v, 1), (v, u, sign)] for u, v in sorted(g.edges)]
+    unknown = {(x, y): (k, c) for k, group in enumerate(cells) for x, y, c in group}
     ent = {}
     nrows = 0
     for x in range(n):
-        for y in range(n):
+        for y in range(x + (sign > 0), n):
+            # C[x, y] = sum over v ~ y of B[x, v] - sum over v ~ x of B[v, y]
+            terms = [((x, v), 1) for v in g.neighbors(y)]
+            terms += [((v, y), -1) for v in g.neighbors(x)]
             coeffs = {}
-            for v in g.neighbors(y):
-                k = pattern.index_of(x, v)
-                if k is not None:
-                    coeffs[k] = coeffs.get(k, 0) + 1
-            for v in g.neighbors(x):
-                k = pattern.index_of(v, y)
-                if k is not None:
-                    coeffs[k] = coeffs.get(k, 0) - 1
+            for cell, c in terms:
+                if hit := unknown.get(cell):
+                    k, ck = hit
+                    coeffs[k] = coeffs.get(k, 0) + c * ck
             row = {k: c for k, c in coeffs.items() if c}
-            if row:
-                for k, c in row.items():
-                    ent[(nrows, k)] = c
-                nrows += 1
-    system = ExactMatrix._raw(max(nrows, 1), len(pattern), ent)
-    kernel = nullspace(system)
-
+            for k, c in row.items():
+                ent[(nrows, k)] = c
+            nrows += bool(row)
+    kernel = nullspace(ExactMatrix._raw(max(nrows, 1), len(cells), ent))
     embedded = []
     for vec in kernel:
         amb = {}
         for k, value in vec.entries.items():
-            x, y = pattern[k]
-            amb[x * n + y] = value
+            for x, y, c in cells[k]:
+                amb[x * n + y] = c * value
         embedded.append(ExactVector._raw(n * n, amb))
-    full = SubspaceBasis(n * n, embedded)
+    return SubspaceBasis(n * n, embedded)
 
-    sym_vecs = []
-    antisym_vecs = []
-    for vec in full:
-        b = unvectorize(vec, n, n)
-        bt = b.transpose()
-        if not full.contains_matrix(bt):
-            raise AssertionError(
-                "solution space is not transpose-closed; "
-                "this cannot happen for an undirected graph"
-            )
-        # the parts are (b +- bt) / 2; a span ignores the factor 1/2
-        sym_vecs.append(vectorize(b + bt))
-        antisym_vecs.append(vectorize(b - bt))
-    symmetric = SubspaceBasis(n * n, sym_vecs)
-    antisymmetric = SubspaceBasis(n * n, antisym_vecs)
-    if symmetric.dim + antisymmetric.dim != full.dim:
-        raise AssertionError("symmetric/antisymmetric split does not add up")
-    return AlikeDecomposition(g, pattern, full, symmetric, antisymmetric)
+
+def solve_alike(g: Graph, cap=DEFAULT_BRUTE_CAP) -> AlikeDecomposition:
+    """Solve the symmetric and antisymmetric parts exactly, as two systems.
+
+    A is symmetric, so B -> B^T maps the space onto itself and the space is
+    the direct sum of its symmetric and antisymmetric parts.  Each part is
+    the kernel of its own system (see ``_solve_part``), embedded into the
+    n^2 vectorized ambient space and canonicalized; ``full`` is their span.
+    """
+    if g.n > cap:
+        raise CapExceeded(f"brute-force solver capped at {cap} vertices, got {g.n}")
+    symmetric = _solve_part(g, 1)
+    antisymmetric = _solve_part(g, -1)
+    full = SubspaceBasis(g.n * g.n, symmetric.vectors + antisymmetric.vectors)
+    return AlikeDecomposition(g, full, symmetric, antisymmetric)
 
 
 def is_alike(g: Graph, b: ExactMatrix) -> AlikeCheck:
@@ -420,9 +387,9 @@ def _random_nonzero_fraction(rng):
     return Fraction(num, rng.randint(1, 3))
 
 
-def _random_support_matrix(pattern, rng):
-    ent = {pos: value for pos in pattern if (value := _random_fraction(rng))}
-    return ExactMatrix._raw(pattern.n, pattern.n, ent)
+def _random_support_matrix(n, positions, rng):
+    ent = {pos: value for pos in positions if (value := _random_fraction(rng))}
+    return ExactMatrix._raw(n, n, ent)
 
 
 def _residual_factor(stars, i, j, x, y):
@@ -443,10 +410,10 @@ def run_characterization_cases(ctx, g: Graph, rng, cases_per_direction):
 
 
 def _characterization_cases(check, ctx, g, rng, cases):
-    pattern = SupportPattern.for_graph(g)
+    positions = support_positions(g)
     pairs = coordinate_pairs(ctx.d)
     for case in range(cases):
-        b = _random_support_matrix(pattern, rng)
+        b = _random_support_matrix(g.n, positions, rng)
         for i, j in pairs:
             residual = characterization_residual(ctx, b, i, j)
             check.require(
@@ -465,7 +432,7 @@ def _characterization_cases(check, ctx, g, rng, cases):
     for case in range(cases):
         x, y = rng.choice(outside)
         planted = _random_nonzero_fraction(rng)
-        b = _random_support_matrix(pattern, rng)
+        b = _random_support_matrix(g.n, positions, rng)
         b = ExactMatrix._raw(g.n, g.n, {**b.entries, (x, y): planted})
         i, j = ctx.coords_of(x ^ y)[:2]
         got = characterization_residual(ctx, b, i, j)[x, y]
@@ -729,7 +696,7 @@ def verify_all(
     """Run the selected identity-check groups and collect a report.
 
     ``graph`` overrides the cube graph wherever a graph is consumed (support
-    patterns, membership checks, the adjacency-sum identity, the brute-force
+    positions, membership checks, the adjacency-sum identity, the brute-force
     solve); it exists so tests can feed corrupted data and watch the checks
     fail.  Groups whose size caps are exceeded are reported as skipped, not
     failed.  Per-group wall-clock timings are kept on the report object but

@@ -47,14 +47,22 @@ def _positive_int(text):
     return value
 
 
+# ALIKE_CAP_D may raise the construction cap this far and no further: the
+# 16-cube already has 65536 vertices
+MAX_CAP_D = 16
+
+
 def _construction_cap():
     raw = os.environ.get("ALIKE_CAP_D")
     if raw is None:
         return DEFAULT_CONSTRUCTION_CAP
     try:
-        return _positive_int(raw)
+        cap = _positive_int(raw)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"ALIKE_CAP_D: {exc}") from None
+    if cap > MAX_CAP_D:
+        raise ValueError(f"ALIKE_CAP_D: must be at most {MAX_CAP_D}")
+    return cap
 
 
 def _emit(payload):

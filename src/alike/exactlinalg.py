@@ -618,9 +618,6 @@ class SubspaceBasis:
                     cur.pop(c, None)
         return not cur
 
-    def contains_matrix(self, m: ExactMatrix) -> bool:
-        return self.contains(vectorize(m))
-
 
 def span_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     """True iff the canonical forms agree vector-for-vector."""

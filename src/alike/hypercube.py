@@ -58,11 +58,13 @@ class Graph:
             seen.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(seen)
-        adj = [[] for _ in range(n)]
-        for u, v in sorted(seen):
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = tuple(tuple(sorted(nb)) for nb in adj)
+        # only vertices with an edge get an entry, so a huge n with few edges
+        # costs nothing until a size cap looks at it
+        adj = {}
+        for u, v in seen:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        self._adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={len(self.edges)})"
@@ -73,10 +75,10 @@ class Graph:
         )
 
     def neighbors(self, v):
-        return self._adj[v]
+        return self._adj.get(v, ())
 
     def degree(self, v):
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
@@ -89,7 +91,7 @@ class Graph:
         while queue:
             x = queue.popleft()
             dx = dist[x] + 1
-            for y in self._adj[x]:
+            for y in self.neighbors(x):
                 if dist[y] < 0:
                     dist[y] = dx
                     queue.append(y)

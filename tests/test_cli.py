@@ -227,6 +227,14 @@ def test_construction_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("ALIKE_CAP_D", "frogs")
     code, _, err = run_cli(capsys, "dims", "--hypercube", "3")
     assert code == 2
+    monkeypatch.setenv("ALIKE_CAP_D", "17")
+    code, out, err = run_cli(capsys, "dims", "--hypercube", "3")
+    assert code == 2
+    assert out == ""
+    assert "ALIKE_CAP_D: must be at most 16" in err
+    monkeypatch.setenv("ALIKE_CAP_D", "16")
+    code, _, _ = run_cli(capsys, "dims", "--hypercube", "3")
+    assert code == 0
 
 
 # -- compare ----------------------------------------------------------------------
@@ -252,6 +260,16 @@ def test_compare_above_cap_errors(capsys):
 def test_missing_graph_file(capsys):
     code, _, err = run_cli(capsys, "dims", "--graph", "/no/such/file.json")
     assert code == 2
+
+
+def test_graph_file_above_solver_cap_is_usage_error(capsys, tmp_path):
+    # rejected by the solver cap without first building a million vertices
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 10**6, "edges": []}))
+    code, out, err = run_cli(capsys, "dims", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert "brute-force solver capped at 64 vertices, got 1000000" in err
 
 
 def test_graph_file_with_loop(capsys, tmp_path):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alike.exactlinalg import (
     ExactMatrix,
@@ -361,3 +363,51 @@ def test_from_matrices_empty_needs_shape():
     empty = SubspaceBasis.from_matrices([], shape=(2, 2))
     assert empty.ambient_dim == 4
     assert empty.dim == 0
+
+
+# -- properties of the elimination layer --------------------------------------------
+
+_exact = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+# zero is drawn often, so rank-deficient and sparse systems are common
+_nonzero = st.fractions(-4, 4, max_denominator=3).filter(bool)
+_scalars = st.one_of(st.just(0), _nonzero)
+
+
+@st.composite
+def small_matrices(draw, max_dim=5):
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    values = draw(st.lists(_scalars, min_size=rows * cols, max_size=rows * cols))
+    return ExactMatrix(rows, cols, {divmod(k, cols): v for k, v in enumerate(values)})
+
+
+def matrix_rows(m):
+    return [
+        ExactVector(m.cols, {c: v for (r, c), v in m.entries.items() if r == row})
+        for row in range(m.rows)
+    ]
+
+
+@_exact
+@given(small_matrices())
+def test_nullspace_vectors_are_annihilated(m):
+    for vec in nullspace(m):
+        assert m.matvec(vec).is_zero()
+
+
+@_exact
+@given(small_matrices())
+def test_rank_plus_nullity_is_the_column_count(m):
+    assert rank(m) + nullspace(m).dim == m.cols
+
+
+@_exact
+@given(small_matrices(), st.data())
+def test_subspace_is_invariant_under_permutation_and_scaling(m, data):
+    rows = matrix_rows(m)
+    order = data.draw(st.permutations(range(len(rows))))
+    scales = data.draw(st.lists(_nonzero, min_size=len(rows), max_size=len(rows)))
+    moved = [rows[k].scale(c) for k, c in zip(order, scales)]
+    basis = SubspaceBasis(m.cols, rows)
+    assert SubspaceBasis(m.cols, moved) == basis
+    assert_canonical(basis)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -352,6 +353,18 @@ def test_distance_regularity_needs_connected_graph():
 def test_graph_from_dict_roundtrip():
     g = graph_from_dict({"n": 3, "edges": [[0, 1], [1, 2]]})
     assert g == path_graph(3)
+
+
+def test_graph_with_many_isolated_vertices_allocates_nothing_per_vertex():
+    tracemalloc.start()
+    try:
+        g = graph_from_dict({"n": 10**6, "edges": []})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert g.n == 10**6
+    assert g.neighbors(10**6 - 1) == () and g.degree(0) == 0
 
 
 def test_load_graph(tmp_path):
