@@ -381,13 +381,6 @@ def small_matrices(draw, max_dim=5):
     return ExactMatrix(rows, cols, {divmod(k, cols): v for k, v in enumerate(values)})
 
 
-def matrix_rows(m):
-    return [
-        ExactVector(m.cols, {c: v for (r, c), v in m.entries.items() if r == row})
-        for row in range(m.rows)
-    ]
-
-
 @_exact
 @given(small_matrices())
 def test_nullspace_vectors_are_annihilated(m):
@@ -404,7 +397,7 @@ def test_rank_plus_nullity_is_the_column_count(m):
 @_exact
 @given(small_matrices(), st.data())
 def test_subspace_is_invariant_under_permutation_and_scaling(m, data):
-    rows = matrix_rows(m)
+    rows = [ExactVector.from_list(row) for row in m.to_rows()]
     order = data.draw(st.permutations(range(len(rows))))
     scales = data.draw(st.lists(_nonzero, min_size=len(rows), max_size=len(rows)))
     moved = [rows[k].scale(c) for k, c in zip(order, scales)]
