@@ -17,19 +17,18 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .exactlinalg import (
     CapExceeded,
     ExactMatrix,
     ExactVector,
     exact_quotient,
     kron,
-    rank,
 )
 
 DEFAULT_CONSTRUCTION_CAP = 12
 DEFAULT_PROJECTOR_CAP = 8
+#: Largest graph file `load_graph` parses; a longer one is rejected unread.
+MAX_GRAPH_FILE_BYTES = 16 * 2**20
 
 _ONE = 1
 _MINUS_ONE = -1
@@ -148,8 +147,11 @@ def graph_from_dict(obj) -> Graph:
 
 
 def load_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))
+    with open(path, "rb") as fh:
+        raw = fh.read(MAX_GRAPH_FILE_BYTES + 1)
+    if len(raw) > MAX_GRAPH_FILE_BYTES:
+        raise ValueError(f"graph file is larger than {MAX_GRAPH_FILE_BYTES} bytes")
+    return graph_from_dict(json.loads(raw.decode("utf-8")))
 
 
 @dataclass(frozen=True)
@@ -348,6 +350,10 @@ def eigen_data(ctx: HypercubeContext, cap=DEFAULT_PROJECTOR_CAP) -> EigenData:
         raise CapExceeded(
             f"dense spectral projectors capped at d<={cap}, got d={ctx.d}"
         )
+    # numpy is imported only on this dense-projector path, so commands that
+    # build no projector do not pay for loading it
+    import numpy as np
+
     n = ctx.n
     pop = np.array([x.bit_count() for x in range(n)], dtype=np.int64)
     xs = np.arange(n, dtype=np.int64)
@@ -371,6 +377,8 @@ def eigen_data(ctx: HypercubeContext, cap=DEFAULT_PROJECTOR_CAP) -> EigenData:
 
 def _as_scaled_int_array(ctx, matrix):
     """2^d * matrix as an int64 array; None if some entry is not n-th integral."""
+    import numpy as np
+
     n = ctx.n
     arr = np.zeros((n, n), dtype=np.int64)
     for (x, y), v in matrix.entries.items():
@@ -383,6 +391,8 @@ def _as_scaled_int_array(ctx, matrix):
 
 
 def _checked_product(a, b):
+    import numpy as np
+
     # exactness guard: int64 accumulation must not be able to wrap
     bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
     if bound >= 2**62:
@@ -396,8 +406,12 @@ def idempotent_report(ctx: HypercubeContext, data: EigenData):
     Checks symmetry, pairwise products E_i E_j = delta_ij E_i, sum to the
     identity, eigenvalue-weighted sum to the adjacency matrix, the all-ones
     form of E_0, ranks C(d, i), and the eigenvalue/multiplicity tables.
+    Each rank is read as a trace: once E_i E_i = E_i is proved, rank(E_i)
+    equals the sum of E_i's diagonal entries, which is summed exactly.
     Returns (ok, checks, witness).
     """
+    import numpy as np
+
     d, n = ctx.d, ctx.n
     checks = 0
     if data.d != d or len(data.items) != d + 1:
@@ -439,7 +453,7 @@ def idempotent_report(ctx: HypercubeContext, data: EigenData):
         return False, checks, "E_0 is not the normalized all-ones matrix"
     checks += 1
     for i, item in enumerate(data.items):
-        if rank(item.idempotent) != math.comb(d, i):
+        if item.idempotent.trace() != math.comb(d, i):
             return False, checks, f"projector {i} has rank != C(d,{i})"
         checks += 1
     return True, checks, None

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +274,22 @@ def test_graph_file_above_solver_cap_is_usage_error(capsys, tmp_path):
     assert "brute-force solver capped at 64 vertices, got 1000000" in err
 
 
+def test_graph_file_above_byte_bound_is_usage_error(capsys, tmp_path, monkeypatch):
+    # the file is rejected by its size, before json parses any of it
+    path = write_p3(tmp_path)
+    size = os.path.getsize(path)
+    # the module itself: the package attribute alike.hypercube is the builder
+    module = sys.modules["alike.hypercube"]
+    monkeypatch.setattr(module, "MAX_GRAPH_FILE_BYTES", size - 1)
+    code, out, err = run_cli(capsys, "solve", "--graph", path)
+    assert code == 2
+    assert out == ""
+    assert f"graph file is larger than {size - 1} bytes" in err
+    monkeypatch.setattr(module, "MAX_GRAPH_FILE_BYTES", size)
+    code, _, _ = run_cli(capsys, "solve", "--graph", path)
+    assert code == 0
+
+
 def test_graph_file_with_loop(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "edges": [[0, 0]]}))
@@ -375,3 +393,28 @@ def test_verify_output_is_byte_identical_across_runs():
     assert second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip().startswith(b"{")
+
+
+# -- start-up cost ---------------------------------------------------------------------
+
+NUMPY_PROBE = """
+import sys
+import alike.cli as cli
+for argv in (["dims", "--hypercube", "3"], ["compare", "--hypercube", "3"],
+             ["basis", "--hypercube", "3"], ["solve", "--graph", sys.argv[1]]):
+    assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert cli.main(["verify", "--hypercube", "2"]) == 0
+assert "numpy" in sys.modules, "verify ran the idempotents group without numpy"
+"""
+
+
+def test_numpy_loads_only_for_dense_projectors():
+    # a fresh interpreter, so no earlier test has imported numpy already;
+    # verify (idempotents included) is the negative control
+    graph = Path(__file__).resolve().parent / "golden" / "p3.json"
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, str(graph)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -270,6 +271,16 @@ def test_idempotent_report_passes(d):
     ok, checks, witness = idempotent_report(ctx, eigen_data(ctx))
     assert ok, witness
     assert checks > 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_projector_rank_equals_trace(d):
+    # idempotent_report reads each rank as a trace; exact elimination agrees
+    _, ctx = hypercube(d)
+    for i, item in enumerate(eigen_data(ctx).items):
+        e = item.idempotent
+        diagonal = sum(e.entries.get((x, x), 0) for x in range(ctx.n))
+        assert rank(e) == diagonal == math.comb(d, i)
 
 
 def test_idempotent_report_catches_corruption():
