@@ -214,17 +214,17 @@ def closed_form_spans(ctx: HypercubeContext) -> dict:
 def characterization_residual(ctx: HypercubeContext, b: ExactMatrix, i, j) -> ExactMatrix:
     """s_i s_j B - s_i B s_j - s_j B s_i + B s_i s_j with s = alpha_star.
 
-    Entry (x, y) equals (s_i[x,x] - s_i[y,y]) (s_j[x,x] - s_j[y,y]) B[x,y],
-    so the residual vanishes for every pair i < j exactly when the support of
-    B lies inside {equal or adjacent}.
+    Computed as [s_i, [s_j, B]] in 4 products: the diagonal s_i and s_j
+    commute, so the nested commutator expands to the same four terms.  Entry
+    (x, y) equals (s_i[x,x] - s_i[y,y]) (s_j[x,x] - s_j[y,y]) B[x,y], so the
+    residual vanishes for every pair i < j exactly when the support of B lies
+    inside {equal or adjacent}.
     """
     if not 1 <= i < j <= ctx.d:
         raise ValueError(f"need 1 <= i < j <= {ctx.d}, got ({i}, {j})")
     if b.rows != ctx.n or b.cols != ctx.n:
         raise ValueError("matrix does not match the cube size")
-    si = alpha_star(ctx, i)
-    sj = alpha_star(ctx, j)
-    return si @ sj @ b - si @ b @ sj - sj @ b @ si + b @ si @ sj
+    return commutator(alpha_star(ctx, i), commutator(alpha_star(ctx, j), b))
 
 
 def restriction_to_E1(ctx: HypercubeContext, b: ExactMatrix) -> ExactMatrix:
@@ -288,18 +288,22 @@ class _Failed(Exception):
     """Ends a check group at its first failing requirement."""
 
 
-class Checker:
-    """Check count, sampling flag and verdict of one check group.
+@dataclass
+class GroupResult:
+    """Verdict, check count and sampling flag of one check group.
 
-    ``require`` counts a condition that holds.  On one that fails it records
-    the witness and raises, and ``run`` stops the group there.
+    A check routine takes it first.  ``require`` counts a condition that holds;
+    on a failing one it records the witness and raises, which ends ``run``.
     """
 
-    def __init__(self):
-        self.checks = 0
-        self.sampled = False
-        self.passed = True
-        self.witness = None
+    # field order is the key order of the serialized report
+    name: str
+    passed: bool | None = True
+    checks: int = 0
+    sampled: bool = False
+    skipped: bool = False
+    reason: str | None = None
+    witness: str | None = None
 
     def run(self, group, *args):
         """Call ``group(self, *args)`` up to its first failure; returns self."""
@@ -319,24 +323,6 @@ class Checker:
         if not condition:
             self.fail(witness)
         self.checks += 1
-
-    def extend(self, ok, checks, witness):
-        """Take over the (ok, checks, witness) of a report run elsewhere."""
-        self.checks += checks
-        if not ok:
-            self.fail(witness)
-
-
-@dataclass(frozen=True)
-class GroupResult:
-    # field order is the key order of the serialized report
-    name: str
-    passed: bool | None
-    checks: int
-    sampled: bool = False
-    skipped: bool = False
-    reason: str | None = None
-    witness: str | None = None
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -379,12 +365,12 @@ def _matches_sign_vector(ctx, entries, mask, scale):
 
 
 def _random_fraction(rng):
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+    return exact_quotient(rng.randint(-6, 6), rng.randint(1, 3))
 
 
 def _random_nonzero_fraction(rng):
     num = rng.randint(1, 6) * rng.choice((-1, 1))
-    return Fraction(num, rng.randint(1, 3))
+    return exact_quotient(num, rng.randint(1, 3))
 
 
 def _random_support_matrix(n, positions, rng):
@@ -397,19 +383,14 @@ def _residual_factor(stars, i, j, x, y):
     return (stars[i][x, x] - stars[i][y, y]) * (stars[j][x, x] - stars[j][y, y])
 
 
-def run_characterization_cases(ctx, g: Graph, rng, cases_per_direction):
+def characterization_cases(check, ctx, g, rng, cases):
     """Seeded two-direction test of the support/residual equivalence.
 
     Direction one: matrices supported inside {equal or adjacent} have zero
     residual for every pair i < j.  Direction two: planting one entry at a
     distant pair makes the residual for a pair of differing coordinates
-    nonzero at exactly that entry.  Returns (ok, checks, witness).
+    nonzero at exactly that entry.  Draws ``cases`` matrices per direction.
     """
-    check = Checker().run(_characterization_cases, ctx, g, rng, cases_per_direction)
-    return check.passed, check.checks, check.witness
-
-
-def _characterization_cases(check, ctx, g, rng, cases):
     positions = support_positions(g)
     pairs = coordinate_pairs(ctx.d)
     for case in range(cases):
@@ -515,7 +496,7 @@ def _group_eigenbasis(check, ctx, g, rng):
 def _group_characterization(check, ctx, g, rng):
     # residuals cost O(C(d,2) * cube size) per case; keep big cubes snappy
     cases = 50 if ctx.d <= 5 else 12 if ctx.d <= 8 else 4
-    _characterization_cases(check, ctx, g, rng, cases)
+    characterization_cases(check, ctx, g, rng, cases)
     # residual route vs entrywise product formula, on unrestricted matrices
     n = ctx.n
     stars = {i: alpha_star(ctx, i) for i in range(1, ctx.d + 1)}
@@ -658,7 +639,7 @@ def _skip_solver(ctx, g, brute_cap):
     return None
 
 
-#: Check group name -> (run(checker, ctx, graph, rng), skip(ctx, graph,
+#: Check group name -> (run(result, ctx, graph, rng), skip(ctx, graph,
 #: brute_cap) giving the reason the group is skipped, or None to run it).  A
 #: group reaches the functions it checks through this module's globals at call
 #: time, so a tracer that patches those names sees every call.
@@ -666,9 +647,7 @@ GROUPS = {
     "alpha": (_group_alpha, None),
     "eigenbasis": (_group_eigenbasis, None),
     "idempotents": (
-        lambda check, ctx, g, rng: check.extend(
-            *idempotent_report(ctx, eigen_data(ctx))
-        ),
+        lambda check, ctx, g, rng: idempotent_report(check, ctx, eigen_data(ctx)),
         _skip_projectors,
     ),
     "characterization": (_group_characterization, None),
@@ -716,12 +695,10 @@ def verify_all(
         start = time.perf_counter()
         reason = skip(ctx, graph, brute_cap) if skip else None
         if reason:
-            result = GroupResult(name, None, 0, skipped=True, reason=reason)
+            result = GroupResult(name, None, skipped=True, reason=reason)
         else:
-            check = Checker().run(run, ctx, graph, random.Random(f"{seed}:{name}"))
-            result = GroupResult(
-                name, check.passed, check.checks, check.sampled, witness=check.witness
-            )
+            rng = random.Random(f"{seed}:{name}")
+            result = GroupResult(name).run(run, ctx, graph, rng)
         report.timings[name] = time.perf_counter() - start
         report.groups.append(result)
     return report

@@ -151,7 +151,12 @@ def load_graph(path) -> Graph:
         raw = fh.read(MAX_GRAPH_FILE_BYTES + 1)
     if len(raw) > MAX_GRAPH_FILE_BYTES:
         raise ValueError(f"graph file is larger than {MAX_GRAPH_FILE_BYTES} bytes")
-    return graph_from_dict(json.loads(raw.decode("utf-8")))
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        # a file far below the byte bound can nest deeper than json can parse
+        raise ValueError("graph file nests too deeply") from None
+    return graph_from_dict(doc)
 
 
 @dataclass(frozen=True)
@@ -339,16 +344,17 @@ class EigenData:
     items: tuple
 
 
-def eigen_data(ctx: HypercubeContext, cap=DEFAULT_PROJECTOR_CAP) -> EigenData:
+def eigen_data(ctx: HypercubeContext) -> EigenData:
     """Eigenvalues d-2i, multiplicities C(d, i), and spectral projectors.
 
     The projector for eigenvalue d-2i is assembled exactly, as 2^-d times the
     sum of W_S W_S^T over the weight-i sign vectors.  The accumulation runs in
     64-bit integers; entries are bounded by C(d, i), far below overflow.
     """
-    if ctx.d > cap:
+    if ctx.d > DEFAULT_PROJECTOR_CAP:
         raise CapExceeded(
-            f"dense spectral projectors capped at d<={cap}, got d={ctx.d}"
+            f"dense spectral projectors capped at d<={DEFAULT_PROJECTOR_CAP}, "
+            f"got d={ctx.d}"
         )
     # numpy is imported only on this dense-projector path, so commands that
     # build no projector do not pay for loading it
@@ -400,7 +406,7 @@ def _checked_product(a, b):
     return a @ b
 
 
-def idempotent_report(ctx: HypercubeContext, data: EigenData):
+def idempotent_report(check, ctx: HypercubeContext, data: EigenData):
     """Exact verification of the spectral projector identities.
 
     Checks symmetry, pairwise products E_i E_j = delta_ij E_i, sum to the
@@ -408,55 +414,57 @@ def idempotent_report(ctx: HypercubeContext, data: EigenData):
     form of E_0, ranks C(d, i), and the eigenvalue/multiplicity tables.
     Each rank is read as a trace: once E_i E_i = E_i is proved, rank(E_i)
     equals the sum of E_i's diagonal entries, which is summed exactly.
-    Returns (ok, checks, witness).
+    A check-group routine: ``check`` (an ``alike.GroupResult``) counts each
+    identity and stops at the first that fails; shapes fail uncounted.
     """
     import numpy as np
 
     d, n = ctx.d, ctx.n
-    checks = 0
     if data.d != d or len(data.items) != d + 1:
-        return False, checks, "eigen data has the wrong shape"
+        check.fail("eigen data has the wrong shape")
     scaled = []
     for i, item in enumerate(data.items):
-        if item.theta != d - 2 * i:
-            return False, checks, f"eigenvalue table wrong at i={i}: {item.theta}"
-        if item.multiplicity != math.comb(d, i):
-            return False, checks, f"multiplicity table wrong at i={i}"
-        checks += 2
+        check.require(
+            item.theta == d - 2 * i, f"eigenvalue table wrong at i={i}: {item.theta}"
+        )
+        check.require(
+            item.multiplicity == math.comb(d, i), f"multiplicity table wrong at i={i}"
+        )
         e = item.idempotent
         if e.rows != n or e.cols != n:
-            return False, checks, f"projector {i} has shape {e.rows}x{e.cols}"
+            check.fail(f"projector {i} has shape {e.rows}x{e.cols}")
         arr = _as_scaled_int_array(ctx, e)
         if arr is None:
-            return False, checks, f"projector {i} entries not multiples of 1/2^d"
+            check.fail(f"projector {i} entries not multiples of 1/2^d")
         scaled.append(arr)
     for i, arr in enumerate(scaled):
-        if not np.array_equal(arr, arr.T):
-            return False, checks, f"projector {i} is not symmetric"
-        checks += 1
+        check.require(np.array_equal(arr, arr.T), f"projector {i} is not symmetric")
     for i in range(d + 1):
         for j in range(d + 1):
             prod = _checked_product(scaled[i], scaled[j])
             expect = n * scaled[i] if i == j else np.zeros((n, n), dtype=np.int64)
-            if not np.array_equal(prod, expect):
-                return False, checks, f"projector product ({i},{j}) is wrong"
-            checks += 1
+            check.require(
+                np.array_equal(prod, expect), f"projector product ({i},{j}) is wrong"
+            )
     total = sum(scaled)
-    if not np.array_equal(total, n * np.eye(n, dtype=np.int64)):
-        return False, checks, "projectors do not sum to the identity"
-    checks += 1
+    check.require(
+        np.array_equal(total, n * np.eye(n, dtype=np.int64)),
+        "projectors do not sum to the identity",
+    )
     weighted = sum((d - 2 * i) * arr for i, arr in enumerate(scaled))
-    if not np.array_equal(weighted, _as_scaled_int_array(ctx, cube_adjacency(ctx))):
-        return False, checks, "eigenvalue-weighted projector sum is not the adjacency"
-    checks += 1
-    if not np.array_equal(scaled[0], np.ones((n, n), dtype=np.int64)):
-        return False, checks, "E_0 is not the normalized all-ones matrix"
-    checks += 1
+    check.require(
+        np.array_equal(weighted, _as_scaled_int_array(ctx, cube_adjacency(ctx))),
+        "eigenvalue-weighted projector sum is not the adjacency",
+    )
+    check.require(
+        np.array_equal(scaled[0], np.ones((n, n), dtype=np.int64)),
+        "E_0 is not the normalized all-ones matrix",
+    )
     for i, item in enumerate(data.items):
-        if item.idempotent.trace() != math.comb(d, i):
-            return False, checks, f"projector {i} has rank != C(d,{i})"
-        checks += 1
-    return True, checks, None
+        check.require(
+            item.idempotent.trace() == math.comb(d, i),
+            f"projector {i} has rank != C(d,{i})",
+        )
 
 
 @dataclass(frozen=True)

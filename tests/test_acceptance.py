@@ -14,12 +14,13 @@ import time
 from contextlib import contextmanager
 
 from alike.alike import (
+    GroupResult,
     b_matrix,
+    characterization_cases,
     closed_form_antisym_basis,
     closed_form_sym_basis,
     is_alike,
     restriction_to_E1,
-    run_characterization_cases,
     solve_alike,
     verify_all,
 )
@@ -104,9 +105,10 @@ def test_criterion_4_idempotent_suite_to_d8():
     with criterion(4, "spectral projector suite D=1..8"):
         for d in range(1, 9):
             _, ctx = hypercube(d)
-            ok, checks, witness = idempotent_report(ctx, eigen_data(ctx))
-            assert ok, f"D={d}: {witness}"
-            assert checks >= (d + 1) ** 2 + 3 * (d + 1) + 3
+            result = GroupResult("idempotents")
+            result.run(idempotent_report, ctx, eigen_data(ctx))
+            assert result.passed, f"D={d}: {result.witness}"
+            assert result.checks >= (d + 1) ** 2 + 3 * (d + 1) + 3
 
 
 def test_criterion_5_characterization_property():
@@ -115,9 +117,10 @@ def test_criterion_5_characterization_property():
         for d in range(2, 6):
             g, ctx = hypercube(d)
             rng = random.Random(f"acceptance:characterization:{d}")
-            ok, checks, witness = run_characterization_cases(ctx, g, rng, 50)
-            assert ok, f"D={d}: {witness}"
-            assert checks == 50 * math.comb(d, 2) + 50
+            result = GroupResult("characterization")
+            result.run(characterization_cases, ctx, g, rng, 50)
+            assert result.passed, f"D={d}: {result.witness}"
+            assert result.checks == 50 * math.comb(d, 2) + 50
             total_cases += 100
         assert total_cases == 400
 

@@ -6,14 +6,15 @@ import pytest
 from alike.alike import (
     GroupResult,
     VerificationReport,
+    _random_support_matrix,
     b_matrix,
     bij_action_on_wS,
+    characterization_cases,
     characterization_residual,
     closed_form_antisym_basis,
     closed_form_sym_basis,
     is_alike,
     restriction_to_E1,
-    run_characterization_cases,
     solve_alike,
     support_positions,
     verify_all,
@@ -348,6 +349,9 @@ def test_residual_matches_entrywise_formula():
         for i in range(1, 4):
             for j in range(i + 1, 4):
                 residual = characterization_residual(ctx, b, i, j)
+                # the paper's four-term sum, as an oracle for the commutator form
+                si, sj = stars[i], stars[j]
+                assert residual == si @ sj @ b - si @ b @ sj - sj @ b @ si + b @ si @ sj
                 for x in range(8):
                     for y in range(8):
                         fi = stars[i][x, x] - stars[i][y, y]
@@ -357,11 +361,10 @@ def test_residual_matches_entrywise_formula():
 
 def test_characterization_case_runner_counts():
     g, ctx = hypercube(3)
-    ok, checks, witness = run_characterization_cases(
-        ctx, g, random.Random("cases"), 10
-    )
-    assert ok, witness
-    assert checks == 10 * 3 + 10  # C(3,2) residuals per supported case + planted
+    result = GroupResult("characterization")
+    result.run(characterization_cases, ctx, g, random.Random("cases"), 10)
+    assert result.passed, result.witness
+    assert result.checks == 10 * 3 + 10  # C(3,2) residuals per supported case + planted
 
 
 # -- restriction to the second-largest eigenspace ------------------------------------
@@ -539,7 +542,7 @@ def _entries(*objects):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_scalar_types_are_canonical(d):
     """Integral values are ints, other values Fractions, and nothing is a float."""
-    _, ctx = hypercube(d)
+    g, ctx = hypercube(d)
     coords = range(1, d + 1)
     bs = [b_matrix(ctx, i, j) for i in coords for j in coords if i < j]
     integral = _entries(
@@ -565,7 +568,19 @@ def test_scalar_types_are_canonical(d):
         *nullspace(rational),
         *SubspaceBasis(5, [ExactVector.from_list(row) for row in rational.to_rows()]),
         *solve_alike(path_graph(d + 1)).full,
+        # the seeded rationals the check groups draw
+        *(_random_support_matrix(ctx.n, support_positions(g), rng) for _ in range(3)),
     )
     assert exact
     for v in exact:
         assert type(v) is int or (type(v) is Fraction and v.denominator > 1), v
+
+
+def test_package_exports():
+    import alike
+
+    names = alike.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(alike, name)] == []
+    assert "characterization_cases" in names

@@ -313,6 +313,16 @@ def test_graph_file_with_invalid_json(capsys, tmp_path):
     assert code == 2
 
 
+def test_deeply_nested_graph_file_is_usage_error(capsys, tmp_path):
+    # far below the byte bound, but deeper than the json parser can recurse
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "dims", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert "graph file nests too deeply" in err
+
+
 def test_verify_failure_maps_to_exit_code_1(capsys, monkeypatch):
     import alike.cli as cli
     from alike.alike import GroupResult, VerificationReport

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from alike.alike import GroupResult
 from alike.exactlinalg import (
     CapExceeded,
     ExactMatrix,
@@ -268,9 +269,9 @@ def test_eigen_data_q3():
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_idempotent_report_passes(d):
     _, ctx = hypercube(d)
-    ok, checks, witness = idempotent_report(ctx, eigen_data(ctx))
-    assert ok, witness
-    assert checks > 0
+    result = GroupResult("idempotents").run(idempotent_report, ctx, eigen_data(ctx))
+    assert result.passed, result.witness
+    assert result.checks > 0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -299,9 +300,9 @@ def test_idempotent_report_catches_corruption():
         )
         + data.items[2:],
     )
-    ok, _, witness = idempotent_report(ctx, corrupted)
-    assert not ok
-    assert witness is not None
+    result = GroupResult("idempotents").run(idempotent_report, ctx, corrupted)
+    assert not result.passed
+    assert result.witness is not None
 
 
 def test_eigen_data_cap():
