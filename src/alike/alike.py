@@ -113,6 +113,9 @@ def _solve_part(g: Graph, sign) -> SubspaceBasis:
     preceded for the symmetric part by the n diagonal cells.  Each cell of
     C = B A - A B is one linear equation, and C^T = -sign * C, so only the
     cells x < y (symmetric part) or x <= y (antisymmetric part) are needed.
+    A term B[x, v] or B[v, y] of C[x, y] is an unknown only when v is x, y or
+    a common neighbour of both, so C[x, y] is empty unless x and y are at
+    distance at most 2; only those cells are visited.
     """
     n = g.n
     cells = [[(x, x, 1)] for x in range(n)] if sign > 0 else []
@@ -121,7 +124,11 @@ def _solve_part(g: Graph, sign) -> SubspaceBasis:
     ent = {}
     nrows = 0
     for x in range(n):
-        for y in range(x + (sign > 0), n):
+        near = {x}
+        for v in g.neighbors(x):
+            near.add(v)
+            near.update(g.neighbors(v))
+        for y in sorted(y for y in near if y >= x + (sign > 0)):
             # C[x, y] = sum over v ~ y of B[x, v] - sum over v ~ x of B[v, y]
             terms = [((x, v), 1) for v in g.neighbors(y)]
             terms += [((v, y), -1) for v in g.neighbors(x)]

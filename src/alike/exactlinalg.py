@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Sparse vectors and matrices with exact rational entries, Kronecker
-products, fraction-free elimination, and canonical reduced-echelon bases
-for comparing subspaces exactly.  Entries are ``int`` or
+products, fraction-free elimination (sparse pivots for ranks and kernels,
+column order for canonical forms), and canonical reduced-echelon bases for
+comparing subspaces exactly.  Entries are ``int`` or
 ``fractions.Fraction``: constructors and the elimination routines store an
 integral value as an ``int``, so integer matrices never pay for ``Fraction``
 arithmetic.  (Arithmetic on ``Fraction`` entries may still leave an integral
@@ -14,6 +15,7 @@ are safe to share across threads.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from fractions import Fraction
@@ -436,10 +438,19 @@ def unvectorize(vec: ExactVector, rows: int, cols: int) -> ExactMatrix:
 
 # -- fraction-free elimination ------------------------------------------------
 #
-# Rows are dicts mapping column -> int, kept primitive (gcd 1).  Pivoting is
-# deterministic: first nonzero in column order.  Row combinations use integer
-# cross-multiplication (pc * row - rc * pivot), so no fractions appear until
-# the final normalization to leading-1 reduced echelon form.
+# Rows are dicts mapping column -> int, kept primitive (gcd 1).  Row
+# combinations use integer cross-multiplication (pc * row - rc * pivot), so no
+# fractions appear until the final normalization to leading-1 reduced echelon
+# form.  Two pivot orders, both deterministic:
+#
+# - ``_eliminate`` (behind ``rank`` and ``nullspace``) picks sparse pivots, to
+#   limit fill-in on the large sparse systems of the solver: the shortest active
+#   row, and in it the column held by the fewest active rows (lowest column on
+#   ties), in the manner of Markowitz (1957).
+# - ``_echelon_int``/``_rref_int`` (behind ``SubspaceBasis``) pivot on the first
+#   nonzero in column order, which the canonical reduced echelon form needs.
+#
+# A rank and a canonical kernel basis do not depend on the pivot order.
 
 
 def _int_row(items):
@@ -527,10 +538,50 @@ def _int_rows_of_matrix(m):
     return [_int_row(items) for items in grouped.values()]
 
 
+def _eliminate(rows):
+    """Sparse-pivot fraction-free elimination of primitive int rows.
+
+    Returns the (pivot column, pivot row) pairs in elimination order.  A pivot
+    row holds its pivot column and otherwise only free columns and the pivot
+    columns of later pivots, so back-substitution runs over it in reverse.
+    """
+    rows = [row for row in rows if row]
+    holders = {}  # column -> indices of the active rows that hold it
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        length, i = heapq.heappop(heap)
+        pivot = rows[i]
+        if pivot is None or len(pivot) != length:
+            continue  # retired, or a stale key of a row that has changed since
+        rows[i] = None
+        for c in pivot:
+            holders[c].discard(i)
+        col = min(pivot, key=lambda c: (len(holders[c]), c))
+        pc = pivot[col]
+        for j in tuple(holders[col]):
+            old = rows[j]
+            new = _combine(pivot, pc, old, old[col])
+            for c in old.keys() - new.keys():
+                holders[c].discard(j)
+            for c in new.keys() - old.keys():
+                holders[c].add(j)
+            if new:
+                rows[j] = new
+                heapq.heappush(heap, (len(new), j))
+            else:
+                rows[j] = None
+        pivots.append((col, pivot))
+    return pivots
+
+
 def rank(m: ExactMatrix) -> int:
     """Exact rank over the rationals."""
-    piv_cols, _ = _echelon_int(_int_rows_of_matrix(m), m.cols)
-    return len(piv_cols)
+    return len(_eliminate(_int_rows_of_matrix(m)))
 
 
 class SubspaceBasis:
@@ -630,20 +681,40 @@ def span_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
 
 def nullspace(m: ExactMatrix) -> SubspaceBasis:
     """Canonical basis of the right kernel {v : m @ v = 0}."""
-    piv_cols, rows = _rref_int(_int_rows_of_matrix(m), m.cols)
-    pivset = set(piv_cols)
-    frac_rows = [
-        {c: exact_quotient(v, row[pc]) for c, v in row.items()}
-        for pc, row in zip(piv_cols, rows)
-    ]
+    pivots = _eliminate(_int_rows_of_matrix(m))
+    # back-substitution: each pivot unknown as (numerators over the free
+    # unknowns, denominator > 0); a pivot row's other pivots are solved already
+    solved = {}
+    for col, row in reversed(pivots):
+        den = math.lcm(*(solved[c][1] for c in row if c in solved))
+        acc = {}
+        for c, a in row.items():
+            if c == col:
+                continue
+            hit = solved.get(c)
+            if hit is None:
+                acc[c] = acc.get(c, _ZERO) + a * den
+            else:
+                num, d = hit
+                s = a * (den // d)
+                for f, v in num.items():
+                    acc[f] = acc.get(f, _ZERO) + s * v
+        # row[col] * x_col + (acc . x_free) / den = 0
+        d = row[col] * den
+        g = math.gcd(d, *acc.values())
+        if d > 0:
+            g = -g
+        solved[col] = ({f: v // g for f, v in acc.items() if v}, -d // g)
+    # one integer kernel vector per free unknown, scaled to clear denominators
+    columns = {f: [] for f in range(m.cols) if f not in solved}
+    for col, (num, d) in solved.items():
+        for f, v in num.items():
+            columns[f].append((col, v, d))
     basis = []
-    for free in range(m.cols):
-        if free in pivset:
-            continue
-        ent = {free: _ONE}
-        for pc, row in zip(piv_cols, frac_rows):
-            coeff = row.get(free)
-            if coeff:
-                ent[pc] = -coeff
+    for free, terms in columns.items():
+        scale = math.lcm(*(d for _, _, d in terms))
+        ent = {free: scale}
+        for col, v, d in terms:
+            ent[col] = v * (scale // d)
         basis.append(ExactVector._raw(m.cols, ent))
     return SubspaceBasis(m.cols, basis)

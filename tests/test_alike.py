@@ -12,6 +12,7 @@ from alike.alike import (
     characterization_cases,
     characterization_residual,
     closed_form_antisym_basis,
+    closed_form_spans,
     closed_form_sym_basis,
     is_alike,
     restriction_to_E1,
@@ -292,6 +293,16 @@ def test_antisym_basis_matches_solver(d):
         solve_alike(g).antisymmetric,
         SubspaceBasis.from_matrices(mats, shape=(ctx.n, ctx.n)),
     )
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_solver_matches_closed_forms_on_large_cubes(d):
+    g, ctx = hypercube(d)
+    solved = solve_alike(g, cap=256).parts
+    spans = closed_form_spans(ctx)
+    assert solved.keys() == spans.keys()
+    for part, basis in spans.items():
+        assert span_equal(solved[part], basis), part
 
 
 def test_b_matrix_index_validation():

@@ -274,25 +274,31 @@ def naive_rref(dense):
     return pivot_cols, rows[:r]
 
 
+def naive_kernel(m):
+    """(rank, kernel vectors) read off the oracle's reduced rows."""
+    pivot_cols, reduced = naive_rref(m.to_rows())
+    pivset = set(pivot_cols)
+    kernel = []
+    for free in range(m.cols):
+        if free in pivset:
+            continue
+        ent = {free: Fraction(1)}
+        for pc, row in zip(pivot_cols, reduced):
+            if row[free]:
+                ent[pc] = -row[free]
+        kernel.append(ExactVector(m.cols, ent))
+    return len(pivot_cols), kernel
+
+
 def test_engine_agrees_with_naive_dense_elimination():
     rng = random.Random(110)
     for _ in range(30):
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 7)
         m = random_matrix(rng, nrows, ncols, density=rng.uniform(0.2, 1.0))
-        pivot_cols, reduced = naive_rref(m.to_rows())
-        assert rank(m) == len(pivot_cols)
+        oracle_rank, kernel = naive_kernel(m)
+        assert rank(m) == oracle_rank
         # kernel from the oracle's reduced rows, checked as a span
-        pivset = set(pivot_cols)
-        kernel = []
-        for free in range(ncols):
-            if free in pivset:
-                continue
-            ent = {free: Fraction(1)}
-            for pc, row in zip(pivot_cols, reduced):
-                if row[free]:
-                    ent[pc] = -row[free]
-            kernel.append(ExactVector(ncols, ent))
         engine_kernel = nullspace(m)
         assert engine_kernel.dim == len(kernel)
         for vec in kernel:
@@ -404,3 +410,28 @@ def test_subspace_is_invariant_under_permutation_and_scaling(m, data):
     basis = SubspaceBasis(m.cols, rows)
     assert SubspaceBasis(m.cols, moved) == basis
     assert_canonical(basis)
+
+
+@st.composite
+def tall_sparse_matrices(draw):
+    # taller than wide and about two entries a row, so the sparse pivot order
+    # departs from column order
+    cols = draw(st.integers(1, 10))
+    rows = draw(st.integers(cols, 12))
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    keys = sorted(draw(st.sets(cells, max_size=2 * rows)))
+    values = draw(st.lists(_nonzero, min_size=len(keys), max_size=len(keys)))
+    return ExactMatrix(rows, cols, zip(keys, values))
+
+
+@_exact
+@given(tall_sparse_matrices(), st.data())
+def test_sparse_pivot_kernel_matches_the_dense_oracle(m, data):
+    oracle_rank, kernel = naive_kernel(m)
+    basis = nullspace(m)
+    assert rank(m) == oracle_rank
+    assert basis == SubspaceBasis(m.cols, kernel)
+    # rows enter the elimination in index order, so a permutation reorders them
+    order = data.draw(st.permutations(range(m.rows)))
+    moved = sorted(((order[r], c), v) for (r, c), v in m.entries.items())
+    assert nullspace(ExactMatrix(m.rows, m.cols, moved)) == basis
