@@ -46,6 +46,11 @@ def _cases():
     for graph in ("p3", "petersen"):
         for command in ("dims", "solve", "basis"):
             cases[f"{command}-{graph}"] = (command, "--graph", f"{graph}.json")
+    # the circulant C10(1,3): its solved bases carry fractions such as 1/2
+    for part in ("sym", "antisym"):
+        cases[f"solve-c10-1-3-{part}-triplet"] = (
+            "solve", "--graph", "c10-1-3.json", "--part", part, "--format", "triplet"
+        )
     return cases
 
 
