@@ -575,6 +575,7 @@ def _group_antisym_basis(check, ctx, g, rng):
             b == product, f"b_{i}{j} != 2 s_{i} s_{j} (alpha_{i} - alpha_{j})"
         )
         check.require(b.transpose() == -b, f"b_{i}{j} is not antisymmetric")
+        # both stay: adj is the cube's, while is_alike tests the graph verify_all got
         commutes = not commutator(b, adj).entries
         check.require(commutes, f"b_{i}{j} does not commute with the adjacency")
         verdict = is_alike(g, b)

@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Sparse vectors and matrices with exact rational entries, Kronecker
-products, fraction-free elimination (sparse pivots for ranks and kernels,
-column order for canonical forms), and canonical reduced-echelon bases for
-comparing subspaces exactly.  Entries are ``int`` or
-``fractions.Fraction``: constructors and the elimination routines store an
-integral value as an ``int``, so integer matrices never pay for ``Fraction``
-arithmetic.  (Arithmetic on ``Fraction`` entries may still leave an integral
-``Fraction``, which compares, hashes and prints like the ``int``.)  No
-floating point anywhere: a float entry is a ``TypeError``.  Values are
-treated as immutable: every operation returns a new object, so instances
-are safe to share across threads.
+products, fraction-free elimination, and canonical reduced-echelon bases for
+comparing subspaces exactly.  Elimination has two forward orders (sparse
+pivots for ranks and kernels, column order for canonical forms) that return
+one pivot-row format, and one back-substitution for both.  Entries are
+``int`` or ``fractions.Fraction``: constructors and the elimination routines
+store an integral value as an ``int``, so integer matrices never pay for
+``Fraction`` arithmetic.  (Arithmetic on ``Fraction`` entries may still leave
+an integral ``Fraction``, which compares, hashes and prints like the
+``int``.)  No floating point anywhere: a float entry is a ``TypeError``.
+Values are treated as immutable: every operation returns a new object, so
+instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -441,16 +442,19 @@ def unvectorize(vec: ExactVector, rows: int, cols: int) -> ExactMatrix:
 # Rows are dicts mapping column -> int, kept primitive (gcd 1).  Row
 # combinations use integer cross-multiplication (pc * row - rc * pivot), so no
 # fractions appear until the final normalization to leading-1 reduced echelon
-# form.  Two pivot orders, both deterministic:
+# form.  Two forward orders, both deterministic, return the same format: the
+# (pivot column, pivot row) pairs in elimination order, each pivot row holding
+# its own pivot column, the pivot columns of later pivots and free columns.
 #
 # - ``_eliminate`` (behind ``rank`` and ``nullspace``) picks sparse pivots, to
 #   limit fill-in on the large sparse systems of the solver: the shortest active
 #   row, and in it the column held by the fewest active rows (lowest column on
 #   ties), in the manner of Markowitz (1957).
-# - ``_echelon_int``/``_rref_int`` (behind ``SubspaceBasis``) pivot on the first
-#   nonzero in column order, which the canonical reduced echelon form needs.
+# - ``_echelon_int`` (behind ``SubspaceBasis``) pivots on the smallest column
+#   any remaining row holds, which the canonical reduced echelon form needs.
 #
-# A rank and a canonical kernel basis do not depend on the pivot order.
+# ``_back_substitute`` then clears the later pivot columns from every pivot
+# row.  A rank and a canonical kernel basis do not depend on the pivot order.
 
 
 def _int_row(items):
@@ -492,43 +496,45 @@ def _combine(pivot, pc, row, rc):
     return out
 
 
-def _echelon_int(rows, ncols):
-    rows = [r for r in rows if r]
-    piv_cols = []
-    piv = 0
-    for col in range(ncols):
-        hit = None
-        for i in range(piv, len(rows)):
-            if col in rows[i]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        rows[piv], rows[hit] = rows[hit], rows[piv]
-        pivot = rows[piv]
+def _echelon_int(rows):
+    """Column-order fraction-free elimination of primitive int rows.
+
+    The next pivot column is the smallest column that any remaining row holds,
+    and the pivot row is the first remaining row that holds it.
+    """
+    rows = [row for row in rows if row]
+    pivots = []
+    while rows:
+        col = min(map(min, rows))
+        k = next(i for i, row in enumerate(rows) if col in row)
+        pivot = rows.pop(k)
         pc = pivot[col]
-        for i in range(piv + 1, len(rows)):
-            rc = rows[i].get(col)
-            if rc:
-                rows[i] = _combine(pivot, pc, rows[i], rc)
-        piv_cols.append(col)
-        piv += 1
-        if piv == len(rows):
-            break
-    return piv_cols, rows[:piv]
+        rest = []
+        for row in rows:
+            if col in row:
+                row = _combine(pivot, pc, row, row[col])
+            if row:
+                rest.append(row)
+        rows = rest
+        pivots.append((col, pivot))
+    return pivots
 
 
-def _rref_int(rows, ncols):
-    piv_cols, rows = _echelon_int(rows, ncols)
-    for idx in range(len(piv_cols) - 1, -1, -1):
-        col = piv_cols[idx]
-        pivot = rows[idx]
-        pc = pivot[col]
-        for j in range(idx):
-            rc = rows[j].get(col)
-            if rc:
-                rows[j] = _combine(pivot, pc, rows[j], rc)
-    return piv_cols, rows
+def _back_substitute(pivots):
+    """Reduce each pivot row by the later pivots, last row first.
+
+    Takes the (pivot column, pivot row) pairs of either forward elimination and
+    returns them in the same order, each row now holding only its own pivot
+    column and free columns.
+    """
+    done = {}
+    for col, row in reversed(pivots):
+        # a reduced later row holds no other pivot column, so one pass suffices
+        for c in [c for c in row if c in done]:
+            other = done[c]
+            row = _combine(other, other[c], row, row[c])
+        done[col] = row
+    return [(col, done[col]) for col, _ in pivots]
 
 
 def _int_rows_of_matrix(m):
@@ -541,9 +547,8 @@ def _int_rows_of_matrix(m):
 def _eliminate(rows):
     """Sparse-pivot fraction-free elimination of primitive int rows.
 
-    Returns the (pivot column, pivot row) pairs in elimination order.  A pivot
-    row holds its pivot column and otherwise only free columns and the pivot
-    columns of later pivots, so back-substitution runs over it in reverse.
+    Returns the (pivot column, pivot row) pairs in elimination order, for
+    ``_back_substitute``.
     """
     rows = [row for row in rows if row]
     holders = {}  # column -> indices of the active rows that hold it
@@ -608,14 +613,14 @@ class SubspaceBasis:
                 )
             if v.entries:
                 int_rows.append(_int_row(list(v.entries.items())))
-        piv_cols, rows = _rref_int(int_rows, ambient_dim)
+        reduced = _back_substitute(_echelon_int(int_rows))
         self.ambient_dim = ambient_dim
-        self.pivots = tuple(piv_cols)
+        self.pivots = tuple(col for col, _ in reduced)
         self.vectors = tuple(
             ExactVector._raw(
-                ambient_dim, {c: exact_quotient(v, row[pc]) for c, v in row.items()}
+                ambient_dim, {c: exact_quotient(v, row[col]) for c, v in row.items()}
             )
-            for pc, row in zip(piv_cols, rows)
+            for col, row in reduced
         )
 
     @classmethod
@@ -681,40 +686,22 @@ def span_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
 
 def nullspace(m: ExactMatrix) -> SubspaceBasis:
     """Canonical basis of the right kernel {v : m @ v = 0}."""
-    pivots = _eliminate(_int_rows_of_matrix(m))
-    # back-substitution: each pivot unknown as (numerators over the free
-    # unknowns, denominator > 0); a pivot row's other pivots are solved already
-    solved = {}
-    for col, row in reversed(pivots):
-        den = math.lcm(*(solved[c][1] for c in row if c in solved))
-        acc = {}
-        for c, a in row.items():
-            if c == col:
-                continue
-            hit = solved.get(c)
-            if hit is None:
-                acc[c] = acc.get(c, _ZERO) + a * den
-            else:
-                num, d = hit
-                s = a * (den // d)
-                for f, v in num.items():
-                    acc[f] = acc.get(f, _ZERO) + s * v
-        # row[col] * x_col + (acc . x_free) / den = 0
-        d = row[col] * den
-        g = math.gcd(d, *acc.values())
-        if d > 0:
-            g = -g
-        solved[col] = ({f: v // g for f, v in acc.items() if v}, -d // g)
-    # one integer kernel vector per free unknown, scaled to clear denominators
-    columns = {f: [] for f in range(m.cols) if f not in solved}
-    for col, (num, d) in solved.items():
-        for f, v in num.items():
-            columns[f].append((col, v, d))
+    reduced = _back_substitute(_eliminate(_int_rows_of_matrix(m)))
+    # free column f -> (pivot column, row[f], row[col]) of each row holding it
+    pivot_cols = {col for col, _ in reduced}
+    columns = {f: [] for f in range(m.cols) if f not in pivot_cols}
+    for col, row in reduced:
+        pc = row[col]
+        for f, v in row.items():
+            if f != col:
+                columns[f].append((col, v, pc))
+    # one integer kernel vector per free unknown: x_f = 1 and
+    # x_col = -row[f] / row[col], scaled by the lcm of the pivot coefficients
     basis = []
     for free, terms in columns.items():
-        scale = math.lcm(*(d for _, _, d in terms))
+        scale = math.lcm(*(pc for _, _, pc in terms))
         ent = {free: scale}
-        for col, v, d in terms:
-            ent[col] = v * (scale // d)
+        for col, v, pc in terms:
+            ent[col] = -v * (scale // pc)
         basis.append(ExactVector._raw(m.cols, ent))
     return SubspaceBasis(m.cols, basis)

@@ -371,6 +371,21 @@ def test_from_matrices_empty_needs_shape():
     assert empty.dim == 0
 
 
+def test_subspace_in_a_huge_ambient_space_visits_only_held_columns():
+    # a scan over every ambient column would not finish
+    n = 2**40
+    top = n - 1
+    basis = SubspaceBasis(
+        n,
+        [ExactVector(n, {top - 2: 2, top: 4}), ExactVector(n, {top - 2: 1, top - 1: 3})],
+    )
+    assert basis.pivots == (top - 2, top - 1)
+    assert basis.vectors == (
+        ExactVector(n, {top - 2: 1, top: 2}),
+        ExactVector(n, {top - 1: 1, top: Fraction(-2, 3)}),
+    )
+
+
 # -- properties of the elimination layer --------------------------------------------
 
 _exact = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -435,3 +450,31 @@ def test_sparse_pivot_kernel_matches_the_dense_oracle(m, data):
     order = data.draw(st.permutations(range(m.rows)))
     moved = sorted(((order[r], c), v) for (r, c), v in m.entries.items())
     assert nullspace(ExactMatrix(m.rows, m.cols, moved)) == basis
+
+
+@st.composite
+def wide_sparse_spans(draw):
+    # a wide ambient space and a few vectors of about three entries each, so
+    # column-order pivots skip most columns; some vectors are dependent
+    n = draw(st.integers(1, 40))
+    vectors = []
+    for _ in range(draw(st.integers(1, 6))):
+        if len(vectors) > 1 and draw(st.booleans()):
+            a, b = draw(st.lists(st.sampled_from(vectors), min_size=2, max_size=2))
+            vectors.append(a.scale(draw(_nonzero)) + b)
+            continue
+        keys = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        values = draw(st.lists(_nonzero, min_size=len(keys), max_size=len(keys)))
+        vectors.append(ExactVector(n, zip(keys, values)))
+    order = draw(st.permutations(range(len(vectors))))
+    return n, [vectors[k] for k in order]
+
+
+@_exact
+@given(wide_sparse_spans())
+def test_subspace_basis_matches_the_dense_oracle(span):
+    n, vectors = span
+    pivot_cols, reduced = naive_rref([[v[i] for i in range(n)] for v in vectors])
+    basis = SubspaceBasis(n, vectors)
+    assert basis.pivots == tuple(pivot_cols)
+    assert basis.vectors == tuple(ExactVector.from_list(row) for row in reduced)
