@@ -288,7 +288,6 @@ SKIP_ALIASES = {"brute": "dimensions"}
 # Largest d checked exhaustively, and the sample size above it.
 _EIGEN_EXHAUSTIVE_D, _EIGEN_SAMPLE = 10, 128
 _TABLE_EXHAUSTIVE_D, _TABLE_SAMPLE = 5, 120
-_ORTHO_EXHAUSTIVE_D, _ORTHO_SAMPLE = 6, 150
 
 
 class _Failed(Exception):
@@ -470,6 +469,7 @@ def _group_eigenbasis(check, ctx, g, rng):
         while len(masks) < _EIGEN_SAMPLE:
             masks.add(rng.randrange(n))
         masks = sorted(masks)
+    signs = {}
     for mask in masks:
         vec = scaled_eigenvector(ctx, mask).vec
         for i in range(1, d + 1):
@@ -483,21 +483,16 @@ def _group_eigenbasis(check, ctx, g, rng):
         image = adj.matvec(vec).entries
         ok = _matches_sign_vector(ctx, image, mask, d - 2 * mask.bit_count())
         check.require(ok, f"adjacency action wrong on mask {mask}")
-    if d <= _ORTHO_EXHAUSTIVE_D:
-        vecs = {m: scaled_eigenvector(ctx, m).vec for m in range(n)}
-        pairs = itertools.product(range(n), repeat=2)
-    else:
-        check.sampled = True
-        vecs = None
-        pairs = []
-        for _ in range(_ORTHO_SAMPLE):
-            s = rng.randrange(n)
-            pairs.append((s, s if rng.random() < 0.3 else rng.randrange(n)))
-    for s, t in pairs:
-        vs = vecs[s] if vecs else scaled_eigenvector(ctx, s).vec
-        vt = vecs[t] if vecs else scaled_eigenvector(ctx, t).vec
-        expect = n if s == t else 0
-        check.require(vs.inner(vt) == expect, f"<W_{s}, W_{t}> != {expect}")
+        # packed with bit x set where W_mask[x] is -1, <W_s, W_t> is
+        # n - 2 popcount(w_s ^ w_t); that holds only for +-1 vectors
+        if len(vec.entries) != n or not set(vec.entries.values()) <= {1, -1}:
+            check.fail(f"W_{mask} is not a +-1 vector")
+        signs[mask] = sum(1 << x for x, v in vec.entries.items() if v == -1)
+    for s, ws in signs.items():
+        for t, wt in signs.items():
+            expect = n if s == t else 0
+            got = n - 2 * (ws ^ wt).bit_count()
+            check.require(got == expect, f"<W_{s}, W_{t}> != {expect}")
 
 
 def _group_characterization(check, ctx, g, rng):

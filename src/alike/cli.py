@@ -238,7 +238,6 @@ def build_parser():
         )
         if graph_allowed:
             source.add_argument("--graph", metavar="PATH", help="use a JSON graph file")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         p.add_argument(
             "--cap-bruteforce",
             type=_positive_int,
@@ -249,7 +248,9 @@ def build_parser():
         if emits_matrices:
             p.add_argument("--part", choices=PARTS, default="full")
             p.add_argument("--format", choices=FORMATS, default="json")
-    sub.choices["verify"].add_argument(
+    verify = sub.choices["verify"]
+    verify.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    verify.add_argument(
         "--skip",
         default="",
         metavar="GROUP,...",

@@ -127,7 +127,6 @@ def graph_from_dict(obj) -> Graph:
     raw = obj["edges"]
     if not isinstance(raw, list):
         raise ValueError('"edges" must be a list of [u, v] pairs')
-    normalized = []
     for e in raw:
         if (
             not isinstance(e, (list, tuple))
@@ -135,15 +134,10 @@ def graph_from_dict(obj) -> Graph:
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
         ):
             raise ValueError(f"malformed edge {e!r}")
-        u, v = e
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge {e!r} out of range for {n} vertices")
-        normalized.append((min(u, v), max(u, v)))
-    if len(set(normalized)) != len(normalized):
+    graph = Graph(n, raw)  # rejects loops and out-of-range edges
+    if len(graph.edges) != len(raw):
         raise ValueError("duplicate edges present")
-    return Graph(n, normalized)
+    return graph
 
 
 def load_graph(path) -> Graph:

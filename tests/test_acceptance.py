@@ -93,8 +93,11 @@ def test_criterion_3_identity_suite_to_d10():
             )
             for group in report.groups:
                 assert group.passed, f"D={d} {group.name}: {group.witness}"
-            # eigenvector actions (alpha_i, alpha_star_i, adjacency) exhaustive
-            assert report.group("eigenbasis").checks >= (1 << d) * (2 * d + 1)
+            # every eigenvector's actions (alpha_i, alpha_star_i, adjacency)
+            # and every ordered pair's inner product
+            eigenbasis = report.group("eigenbasis")
+            assert not eigenbasis.sampled
+            assert eigenbasis.checks == (1 << d) * (2 * d + 1) + (1 << 2 * d)
             pairs = math.comb(d, 2)
             table = pairs * (1 << d) if d <= 5 else 120
             assert report.group("antisym_basis").checks >= pairs * (4 + d) + table

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import alike.alike as alike_module
 from alike.alike import (
     GroupResult,
     VerificationReport,
@@ -534,6 +536,72 @@ def test_verify_all_detects_corrupted_adjacency(name):
     assert not report.all_passed
     assert group.passed is False
     assert (group.checks, group.witness) == CORRUPTED_Q2_FAILURES[name]
+
+
+def _patch_sign_vector(monkeypatch, mask, change):
+    """Make the check groups see change(W_mask) in place of W_mask."""
+    original = alike_module.scaled_eigenvector
+
+    def patched(ctx, s):
+        w = original(ctx, s)
+        return dataclasses.replace(w, vec=change(w.vec)) if s == mask else w
+
+    monkeypatch.setattr(alike_module, "scaled_eigenvector", patched)
+
+
+def _eigenbasis_q2():
+    _, ctx = hypercube(2)
+    return verify_all(ctx, groups=["eigenbasis"], seed=0).group("eigenbasis")
+
+
+def test_eigenbasis_detects_a_flipped_sign(monkeypatch):
+    def flip_first(vec):
+        return ExactVector(vec.n, {**vec.entries, 0: -vec.entries[0]})
+
+    _patch_sign_vector(monkeypatch, 1, flip_first)
+    group = _eigenbasis_q2()
+    # W_0 passes its 2d + 1 actions; W_1 fails its first
+    assert (group.passed, group.checks) == (False, 5)
+    assert group.witness == "alpha_1 action wrong on mask 1"
+
+
+def test_eigenbasis_rejects_a_vector_that_is_not_plus_minus_one(monkeypatch):
+    # the packed inner product is exact only for +-1 entries: with the
+    # actions passed regardless, a missing entry must still end the group
+    def drop_first(vec):
+        return ExactVector(vec.n, {x: v for x, v in vec.entries.items() if x})
+
+    _patch_sign_vector(monkeypatch, 1, drop_first)
+    monkeypatch.setattr(alike_module, "_matches_sign_vector", lambda *args: True)
+    group = _eigenbasis_q2()
+    assert (group.passed, group.checks) == (False, 10)
+    assert group.witness == "W_1 is not a +-1 vector"
+
+
+def test_eigenbasis_sampled_branch(monkeypatch):
+    # the sample must stay at most 2^d, or the draw never ends
+    monkeypatch.setattr(alike_module, "_EIGEN_EXHAUSTIVE_D", 3)
+    monkeypatch.setattr(alike_module, "_EIGEN_SAMPLE", 8)
+    _, ctx = hypercube(4)
+    first, second = (
+        verify_all(ctx, groups=["eigenbasis"], seed=5).group("eigenbasis")
+        for _ in range(2)
+    )
+    assert first.sampled and first.passed
+    # k actions of 2d + 1 each, then k^2 ordered pairs
+    assert first.checks == 8 * 9 + 8 * 8
+    assert first == second
+
+
+def test_restriction_detects_a_scaled_bij(monkeypatch):
+    original = alike_module.b_matrix
+    monkeypatch.setattr(
+        alike_module, "b_matrix", lambda ctx, i, j: original(ctx, i, j).scale(2)
+    )
+    _, ctx = hypercube(2)
+    group = verify_all(ctx, groups=["restriction"], seed=0).group("restriction")
+    assert (group.passed, group.checks) == (False, 0)
+    assert group.witness == "restriction of b_12 is not 4(e_1e_2^T - e_2e_1^T)"
 
 
 def test_verify_report_is_deterministic():

@@ -215,6 +215,12 @@ def test_verify_dimension_zero_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_seed_is_a_verify_option_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dims", "--hypercube", "2", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_verify_above_construction_cap(capsys):
     code, _, err = run_cli(capsys, "verify", "--hypercube", "13")
     assert code == 2

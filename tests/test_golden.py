@@ -27,7 +27,8 @@ def _cases():
             cases[f"verify-d{d}-seed{seed}"] = (
                 "verify", "--hypercube", str(d), "--seed", str(seed)
             )
-    # the only case with sampled orthogonality and a cap-skipped group
+    # the only case with a cap-skipped group; its eigenbasis group checks
+    # every pair of sign vectors, as at every d <= 10
     cases["verify-d7-seed0-skip-characterization"] = (
         "verify", "--hypercube", "7", "--seed", "0", "--skip", "characterization"
     )
