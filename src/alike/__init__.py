@@ -14,7 +14,6 @@ from .exactlinalg import (
     SubspaceBasis,
     commutator,
     kron,
-    kron_vec,
     nullspace,
     rank,
     span_equal,
@@ -32,14 +31,11 @@ from .hypercube import (
     alpha_star_via_kron,
     alpha_via_kron,
     cube_adjacency,
-    distance_matrices,
-    distance_matrix,
     eigen_data,
     graph_from_dict,
     hypercube,
     load_graph,
     scaled_eigenvector,
-    verify_distance_regular,
 )
 from .alike import (
     AlikeCheck,
@@ -86,14 +82,11 @@ __all__ = [
     "closed_form_sym_basis",
     "commutator",
     "cube_adjacency",
-    "distance_matrices",
-    "distance_matrix",
     "eigen_data",
     "graph_from_dict",
     "hypercube",
     "is_alike",
     "kron",
-    "kron_vec",
     "load_graph",
     "nullspace",
     "rank",
@@ -104,5 +97,4 @@ __all__ = [
     "unvectorize",
     "vectorize",
     "verify_all",
-    "verify_distance_regular",
 ]

@@ -300,6 +300,8 @@ class GroupResult:
 
     A check routine takes it first.  ``require`` counts a condition that holds;
     on a failing one it records the witness and raises, which ends ``run``.
+    The witness is a ``str.format`` template, filled from ``args`` only on
+    failure, so a passing check formats nothing.
     """
 
     # field order is the key order of the serialized report
@@ -325,9 +327,9 @@ class GroupResult:
         self.witness = witness
         raise _Failed
 
-    def require(self, condition, witness):
+    def require(self, condition, witness, *args):
         if not condition:
-            self.fail(witness)
+            self.fail(witness.format(*args))
         self.checks += 1
 
     def to_dict(self):
@@ -405,7 +407,7 @@ def characterization_cases(check, ctx, g, rng, cases):
             residual = characterization_residual(ctx, b, i, j)
             check.require(
                 not residual.entries,
-                f"supported case {case}: residual ({i},{j}) is nonzero",
+                "supported case {}: residual ({},{}) is nonzero", case, i, j
             )
     # pairs must differ in at least two coordinates so a residual pair exists
     outside = [
@@ -426,8 +428,8 @@ def characterization_cases(check, ctx, g, rng, cases):
         expect = _residual_factor(stars, i, j, x, y) * planted
         check.require(
             expect != 0 and got == expect,
-            f"planted case {case}: residual ({i},{j}) at {(x, y)} is {got}, "
-            f"expected {expect}",
+            "planted case {}: residual ({},{}) at {} is {}, expected {}",
+            case, i, j, (x, y), got, expect
         )
 
 
@@ -437,22 +439,22 @@ def _group_alpha(check, ctx, g, rng):
     alphas = {i: alpha(ctx, i) for i in range(1, d + 1)}
     stars = {i: alpha_star(ctx, i) for i in range(1, d + 1)}
     for i in range(1, d + 1):
-        check.require(alphas[i] @ alphas[i] == ident, f"alpha_{i}^2 != I")
-        check.require(stars[i] @ stars[i] == ident, f"alpha_star_{i}^2 != I")
+        check.require(alphas[i] @ alphas[i] == ident, "alpha_{}^2 != I", i)
+        check.require(stars[i] @ stars[i] == ident, "alpha_star_{}^2 != I", i)
         chain = alpha_via_kron(ctx, i)
-        check.require(chain == alphas[i], f"alpha_{i} != its Kronecker chain")
+        check.require(chain == alphas[i], "alpha_{} != its Kronecker chain", i)
         chain = alpha_star_via_kron(ctx, i)
-        check.require(chain == stars[i], f"alpha_star_{i} != its Kronecker chain")
+        check.require(chain == stars[i], "alpha_star_{} != its Kronecker chain", i)
     for i, j in itertools.product(range(1, d + 1), repeat=2):
         commute = alphas[i] @ alphas[j] == alphas[j] @ alphas[i]
-        check.require(commute, f"alpha_{i} and alpha_{j} do not commute")
+        check.require(commute, "alpha_{} and alpha_{} do not commute", i, j)
         commute = stars[i] @ stars[j] == stars[j] @ stars[i]
-        check.require(commute, f"alpha_star_{i} and alpha_star_{j} do not commute")
+        check.require(commute, "alpha_star_{} and alpha_star_{} do not commute", i, j)
         # alpha_i anticommutes with alpha_star_i and commutes with the others
         rhs = stars[j] @ alphas[i]
         relation = "anticommute" if i == j else "commute"
         holds = alphas[i] @ stars[j] == (-rhs if i == j else rhs)
-        check.require(holds, f"alpha_{i} and alpha_star_{j} do not {relation}")
+        check.require(holds, "alpha_{} and alpha_star_{} do not {}", i, j, relation)
     total = sum(alphas.values(), ExactMatrix.zeros(n))
     check.require(total == adjacency(g), "sum of alpha_i is not the adjacency matrix")
 
@@ -476,13 +478,13 @@ def _group_eigenbasis(check, ctx, g, rng):
             bit = 1 << (i - 1)
             moved = alphas[i].matvec(vec).entries
             ok = _matches_sign_vector(ctx, moved, mask, -1 if mask & bit else 1)
-            check.require(ok, f"alpha_{i} action wrong on mask {mask}")
+            check.require(ok, "alpha_{} action wrong on mask {}", i, mask)
             starred = stars[i].matvec(vec).entries
             ok = _matches_sign_vector(ctx, starred, mask ^ bit, 1)
-            check.require(ok, f"alpha_star_{i} action wrong on mask {mask}")
+            check.require(ok, "alpha_star_{} action wrong on mask {}", i, mask)
         image = adj.matvec(vec).entries
         ok = _matches_sign_vector(ctx, image, mask, d - 2 * mask.bit_count())
-        check.require(ok, f"adjacency action wrong on mask {mask}")
+        check.require(ok, "adjacency action wrong on mask {}", mask)
         # packed with bit x set where W_mask[x] is -1, <W_s, W_t> is
         # n - 2 popcount(w_s ^ w_t); that holds only for +-1 vectors
         if len(vec.entries) != n or not set(vec.entries.values()) <= {1, -1}:
@@ -492,7 +494,7 @@ def _group_eigenbasis(check, ctx, g, rng):
         for t, wt in signs.items():
             expect = n if s == t else 0
             got = n - 2 * (ws ^ wt).bit_count()
-            check.require(got == expect, f"<W_{s}, W_{t}> != {expect}")
+            check.require(got == expect, "<W_{}, W_{}> != {}", s, t, expect)
 
 
 def _group_characterization(check, ctx, g, rng):
@@ -520,7 +522,7 @@ def _group_characterization(check, ctx, g, rng):
                     formula[(x, y)] = product
             check.require(
                 residual.entries == formula,
-                f"residual ({i},{j}) disagrees with the entrywise formula",
+                "residual ({},{}) disagrees with the entrywise formula", i, j
             )
     if 2 <= ctx.d <= 6:
         for p, q in pairs:
@@ -528,7 +530,8 @@ def _group_characterization(check, ctx, g, rng):
             for i, j in pairs:
                 residual = characterization_residual(ctx, b, i, j)
                 check.require(
-                    not residual.entries, f"residual ({i},{j}) of b_{p}{q} is nonzero"
+                    not residual.entries,
+                    "residual ({},{}) of b_{}{} is nonzero", i, j, p, q
                 )
 
 
@@ -541,13 +544,13 @@ def _group_sym_basis(check, ctx, g, rng):
         verdict = is_alike(g, m)
         check.require(
             verdict,
-            f"symmetric basis element {idx} fails membership "
-            f"({verdict.failed_condition} at {verdict.position})",
+            "symmetric basis element {} fails membership ({} at {})",
+            idx, verdict.failed_condition, verdict.position
         )
-        check.require(m.is_symmetric(), f"symmetric basis element {idx} not symmetric")
+        check.require(m.is_symmetric(), "symmetric basis element {} not symmetric", idx)
         constant = len({m[x, x] for x in range(ctx.n)}) == 1
         check.require(
-            constant, f"symmetric basis element {idx} has a nonconstant diagonal"
+            constant, "symmetric basis element {} has a nonconstant diagonal", idx
         )
         supports.append(set(m.entries))
     for a, b in itertools.combinations(supports, 2):
@@ -567,21 +570,21 @@ def _group_antisym_basis(check, ctx, g, rng):
         b = mats[(i, j)] = b_matrix(ctx, i, j)
         product = (stars[i] @ stars[j] @ (alphas[i] - alphas[j])).scale(2)
         check.require(
-            b == product, f"b_{i}{j} != 2 s_{i} s_{j} (alpha_{i} - alpha_{j})"
+            b == product, "b_{0}{1} != 2 s_{0} s_{1} (alpha_{0} - alpha_{1})", i, j
         )
-        check.require(b.transpose() == -b, f"b_{i}{j} is not antisymmetric")
+        check.require(b.transpose() == -b, "b_{}{} is not antisymmetric", i, j)
         # both stay: adj is the cube's, while is_alike tests the graph verify_all got
         commutes = not commutator(b, adj).entries
-        check.require(commutes, f"b_{i}{j} does not commute with the adjacency")
+        check.require(commutes, "b_{}{} does not commute with the adjacency", i, j)
         verdict = is_alike(g, b)
         check.require(
-            verdict, f"b_{i}{j} fails membership ({verdict.failed_condition})"
+            verdict, "b_{}{} fails membership ({})", i, j, verdict.failed_condition
         )
         for ell in range(1, d + 1):
             lhs = b @ alphas[ell]
             rhs = alphas[ell] @ b
             ok = lhs == (-rhs if ell in (i, j) else rhs)
-            check.require(ok, f"b_{i}{j} sign relation with alpha_{ell} fails")
+            check.require(ok, "b_{}{} sign relation with alpha_{} fails", i, j, ell)
     if d > _TABLE_EXHAUSTIVE_D:
         check.sampled = True
         combos = [(*rng.choice(pairs), rng.randrange(n)) for _ in range(_TABLE_SAMPLE)]
@@ -592,7 +595,7 @@ def _group_antisym_basis(check, ctx, g, rng):
         image = mats[(i, j)].matvec(scaled_eigenvector(ctx, mask).vec).entries
         check.require(
             _matches_sign_vector(ctx, image, target or 0, coeff),
-            f"b_{i}{j} action on mask {mask} does not match the table",
+            "b_{}{} action on mask {} does not match the table", i, j, mask
         )
     if pairs:
         independent = SubspaceBasis.from_matrices(list(mats.values())).dim == len(pairs)
@@ -605,10 +608,10 @@ def _group_dimensions(check, ctx, g, rng):
     decomposition = solve_alike(g, cap=g.n)
     expected = (1 + d + math.comb(d, 2), d + 1, math.comb(d, 2))
     got = decomposition.dims
-    check.require(got == expected, f"solver dims {got} != formula {expected}")
+    check.require(got == expected, "solver dims {} != formula {}", got, expected)
     for label, closed in closed_form_spans(ctx).items():
         same = span_equal(decomposition.parts[label], closed)
-        check.require(same, f"solver {label} span differs from the closed form")
+        check.require(same, "solver {} span differs from the closed form", label)
 
 
 def _group_restriction(check, ctx, g, rng):
@@ -619,10 +622,10 @@ def _group_restriction(check, ctx, g, rng):
         expected = ExactMatrix(d, d, {(i - 1, j - 1): 4, (j - 1, i - 1): -4})
         check.require(
             m == expected,
-            f"restriction of b_{i}{j} is not 4(e_{i}e_{j}^T - e_{j}e_{i}^T)",
+            "restriction of b_{0}{1} is not 4(e_{0}e_{1}^T - e_{1}e_{0}^T)", i, j
         )
         check.require(
-            m.is_antisymmetric(), f"restriction of b_{i}{j} not antisymmetric"
+            m.is_antisymmetric(), "restriction of b_{}{} not antisymmetric", i, j
         )
         restrictions.append(m)
     if restrictions:

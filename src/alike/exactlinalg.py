@@ -21,10 +21,6 @@ import math
 import operator
 from fractions import Fraction
 
-_ZERO = 0
-_ONE = 1
-
-
 class CapExceeded(ValueError):
     """Raised when a request would exceed a configured size cap."""
 
@@ -58,7 +54,7 @@ def _merge(a, b, op):
     out = dict(a)
     get = out.get
     for key, v in b.items():
-        s = op(get(key, _ZERO), v)
+        s = op(get(key, 0), v)
         if s:
             out[key] = s
         else:
@@ -101,7 +97,7 @@ class ExactVector:
     def __getitem__(self, i):
         if not 0 <= i < self.n:
             raise IndexError(i)
-        return self.entries.get(i, _ZERO)
+        return self.entries.get(i, 0)
 
     def __len__(self):
         return self.n
@@ -154,7 +150,7 @@ class ExactVector:
         a, b = self.entries, other.entries
         if len(b) < len(a):
             a, b = b, a
-        total = _ZERO
+        total = 0
         for i, v in a.items():
             w = b.get(i)
             if w is not None:
@@ -194,7 +190,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls._raw(n, n, {(i, i): _ONE for i in range(n)})
+        return cls._raw(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zeros(cls, rows, cols=None):
@@ -203,7 +199,7 @@ class ExactMatrix:
     @classmethod
     def ones(cls, rows, cols=None):
         cols = rows if cols is None else cols
-        return cls._raw(rows, cols, {(r, c): _ONE for r in range(rows) for c in range(cols)})
+        return cls._raw(rows, cols, {(r, c): 1 for r in range(rows) for c in range(cols)})
 
     @classmethod
     def from_rows(cls, dense_rows):
@@ -223,10 +219,10 @@ class ExactMatrix:
         r, c = key
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(key)
-        return self.entries.get((r, c), _ZERO)
+        return self.entries.get((r, c), 0)
 
     def to_rows(self):
-        out = [[_ZERO] * self.cols for _ in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
@@ -373,7 +369,7 @@ class ExactMatrix:
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace needs a square matrix")
-        total = _ZERO
+        total = 0
         for (r, c), v in self.entries.items():
             if r == c:
                 total += v
@@ -404,16 +400,6 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         for (rb, cb), vb in b.entries.items():
             ent[(ra + rb * ar, ca + cb * ac)] = va * vb
     return ExactMatrix._raw(a.rows * b.rows, a.cols * b.cols, ent)
-
-
-def kron_vec(a: ExactVector, b: ExactVector) -> ExactVector:
-    """Kronecker product of vectors; index pairing matches :func:`kron`."""
-    ent = {}
-    an = a.n
-    for ia, va in a.entries.items():
-        for ib, vb in b.entries.items():
-            ent[ia + ib * an] = va * vb
-    return ExactVector._raw(a.n * b.n, ent)
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -667,7 +653,7 @@ class SubspaceBasis:
             if not coeff:
                 continue
             for c, bv in basis_vec.entries.items():
-                nv = cur.get(c, _ZERO) - coeff * bv
+                nv = cur.get(c, 0) - coeff * bv
                 if nv:
                     cur[c] = nv
                 else:

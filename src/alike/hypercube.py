@@ -5,8 +5,7 @@ vertex x is bit i-1, and two vertices are adjacent iff they differ in exactly
 one bit.  This module builds the coordinate-flip permutations alpha_i, the
 coordinate-sign diagonals alpha_star_i, their 2x2 Kronecker factors, the +-1
 character eigenvectors, and the spectral projectors of the adjacency matrix.
-It also provides small-graph utilities: BFS distances, distance matrices, a
-distance-regularity check, and JSON ingestion.
+It also reads small graphs from JSON.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exactlinalg import (
     CapExceeded,
@@ -30,9 +28,6 @@ DEFAULT_PROJECTOR_CAP = 8
 #: Largest graph file `load_graph` parses; a longer one is rejected unread.
 MAX_GRAPH_FILE_BYTES = 16 * 2**20
 
-_ONE = 1
-_MINUS_ONE = -1
-
 #: 2x2 factor that swaps the two basis states of one coordinate.
 FLIP2 = ExactMatrix.from_rows([[0, 1], [1, 0]])
 #: 2x2 factor diag(1, -1) recording the value of one coordinate.
@@ -40,7 +35,7 @@ SIGN2 = ExactMatrix.from_rows([[1, 0], [0, -1]])
 
 
 class Graph:
-    """Undirected simple graph on vertices 0..n-1 with BFS distance queries."""
+    """Undirected simple graph on vertices 0..n-1."""
 
     __slots__ = ("n", "edges", "_adj")
 
@@ -76,40 +71,8 @@ class Graph:
     def neighbors(self, v):
         return self._adj.get(v, ())
 
-    def degree(self, v):
-        return len(self.neighbors(v))
-
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
-
-    def bfs_distances(self, source):
-        """Distances from ``source``; unreachable vertices get -1."""
-        dist = [-1] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            dx = dist[x] + 1
-            for y in self.neighbors(x):
-                if dist[y] < 0:
-                    dist[y] = dx
-                    queue.append(y)
-        return dist
-
-    def distance(self, u, v):
-        return self.bfs_distances(u)[v]
-
-    def is_connected(self):
-        return -1 not in self.bfs_distances(0)
-
-    def diameter(self):
-        best = 0
-        for v in range(self.n):
-            dist = self.bfs_distances(v)
-            if -1 in dist:
-                raise ValueError("diameter of a disconnected graph is undefined")
-            best = max(best, max(dist))
-        return best
 
 
 def graph_from_dict(obj) -> Graph:
@@ -172,12 +135,6 @@ class HypercubeContext:
             raise ValueError(f"coordinate {i} out of range 1..{self.d}")
         return 1 << (i - 1)
 
-    def coordinate(self, x, i):
-        return (x >> (i - 1)) & 1
-
-    def flip(self, x, i):
-        return x ^ self.bit(i)
-
     def mask_of(self, coords):
         mask = 0
         for i in coords:
@@ -187,10 +144,8 @@ class HypercubeContext:
     def coords_of(self, mask):
         return tuple(i for i in range(1, self.d + 1) if mask >> (i - 1) & 1)
 
-    def subset_masks(self, size=None):
-        """All coordinate subsets as masks, optionally restricted by size."""
-        if size is None:
-            return range(self.n)
+    def subset_masks(self, size):
+        """All coordinate subsets of the given size, as masks."""
         return (
             self.mask_of(combo)
             for combo in itertools.combinations(range(1, self.d + 1), size)
@@ -199,25 +154,24 @@ class HypercubeContext:
 
 def hypercube(d, cap=DEFAULT_CONSTRUCTION_CAP):
     """The d-cube as (Graph, HypercubeContext)."""
-    if d < 1:
-        raise ValueError("hypercube dimension must be at least 1")
+    ctx = HypercubeContext(d)  # rejects d < 1
     if d > cap:
         raise CapExceeded(f"hypercube construction capped at d<={cap}, got d={d}")
-    n = 1 << d
+    n = ctx.n
     edges = []
     for x in range(n):
         for b in range(d):
             y = x ^ (1 << b)
             if x < y:
                 edges.append((x, y))
-    return Graph(n, edges), HypercubeContext(d)
+    return Graph(n, edges), ctx
 
 
 def adjacency(g: Graph) -> ExactMatrix:
     ent = {}
     for u, v in g.edges:
-        ent[(u, v)] = _ONE
-        ent[(v, u)] = _ONE
+        ent[(u, v)] = 1
+        ent[(v, u)] = 1
     return ExactMatrix._raw(g.n, g.n, ent)
 
 
@@ -226,43 +180,15 @@ def cube_adjacency(ctx: HypercubeContext) -> ExactMatrix:
     ent = {}
     for x in range(ctx.n):
         for b in range(ctx.d):
-            ent[(x, x ^ (1 << b))] = _ONE
+            ent[(x, x ^ (1 << b))] = 1
     return ExactMatrix._raw(ctx.n, ctx.n, ent)
-
-
-def distance_matrix(g: Graph, i) -> ExactMatrix:
-    """0/1 matrix of vertex pairs at BFS distance exactly i."""
-    if i < 0:
-        raise ValueError("distance must be nonnegative")
-    if i == 0:
-        return ExactMatrix.identity(g.n)
-    ent = {}
-    disconnected = False
-    for x in range(g.n):
-        dist = g.bfs_distances(x)
-        if -1 in dist:
-            disconnected = True
-        for y, dxy in enumerate(dist):
-            if dxy == i:
-                ent[(x, y)] = _ONE
-    if disconnected and i > 1:
-        raise ValueError("distance partition of a disconnected graph is undefined")
-    return ExactMatrix._raw(g.n, g.n, ent)
-
-
-def distance_matrices(g: Graph) -> list[ExactMatrix]:
-    """All distance matrices A_0..A_diameter; requires a connected graph."""
-    if not g.is_connected():
-        raise ValueError("distance partition of a disconnected graph is undefined")
-    diam = g.diameter()
-    return [distance_matrix(g, i) for i in range(diam + 1)]
 
 
 def alpha(ctx: HypercubeContext, i) -> ExactMatrix:
     """Permutation matrix that flips coordinate i of every vertex."""
     bit = ctx.bit(i)
     return ExactMatrix._raw(
-        ctx.n, ctx.n, {(x, x ^ bit): _ONE for x in range(ctx.n)}
+        ctx.n, ctx.n, {(x, x ^ bit): 1 for x in range(ctx.n)}
     )
 
 
@@ -272,7 +198,7 @@ def alpha_star(ctx: HypercubeContext, i) -> ExactMatrix:
     return ExactMatrix._raw(
         ctx.n,
         ctx.n,
-        {(x, x): (_MINUS_ONE if x & bit else _ONE) for x in range(ctx.n)},
+        {(x, x): (-1 if x & bit else 1) for x in range(ctx.n)},
     )
 
 
@@ -320,7 +246,7 @@ def scaled_eigenvector(ctx: HypercubeContext, s) -> ScaledEigenvector:
     if not 0 <= mask < ctx.n:
         raise ValueError(f"subset mask {mask} out of range for d={ctx.d}")
     ent = {
-        x: (_MINUS_ONE if (mask & x).bit_count() & 1 else _ONE) for x in range(ctx.n)
+        x: (-1 if (mask & x).bit_count() & 1 else 1) for x in range(ctx.n)
     }
     return ScaledEigenvector(ctx.d, mask, ExactVector._raw(ctx.n, ent))
 
@@ -419,10 +345,10 @@ def idempotent_report(check, ctx: HypercubeContext, data: EigenData):
     scaled = []
     for i, item in enumerate(data.items):
         check.require(
-            item.theta == d - 2 * i, f"eigenvalue table wrong at i={i}: {item.theta}"
+            item.theta == d - 2 * i, "eigenvalue table wrong at i={}: {}", i, item.theta
         )
         check.require(
-            item.multiplicity == math.comb(d, i), f"multiplicity table wrong at i={i}"
+            item.multiplicity == math.comb(d, i), "multiplicity table wrong at i={}", i
         )
         e = item.idempotent
         if e.rows != n or e.cols != n:
@@ -432,13 +358,13 @@ def idempotent_report(check, ctx: HypercubeContext, data: EigenData):
             check.fail(f"projector {i} entries not multiples of 1/2^d")
         scaled.append(arr)
     for i, arr in enumerate(scaled):
-        check.require(np.array_equal(arr, arr.T), f"projector {i} is not symmetric")
+        check.require(np.array_equal(arr, arr.T), "projector {} is not symmetric", i)
     for i in range(d + 1):
         for j in range(d + 1):
             prod = _checked_product(scaled[i], scaled[j])
             expect = n * scaled[i] if i == j else np.zeros((n, n), dtype=np.int64)
             check.require(
-                np.array_equal(prod, expect), f"projector product ({i},{j}) is wrong"
+                np.array_equal(prod, expect), "projector product ({},{}) is wrong", i, j
             )
     total = sum(scaled)
     check.require(
@@ -457,66 +383,5 @@ def idempotent_report(check, ctx: HypercubeContext, data: EigenData):
     for i, item in enumerate(data.items):
         check.require(
             item.idempotent.trace() == math.comb(d, i),
-            f"projector {i} has rank != C(d,{i})",
+            "projector {0} has rank != C(d,{0})", i
         )
-
-
-@dataclass(frozen=True)
-class DistanceRegularityReport:
-    """Outcome of the intersection-number scan.
-
-    ``intersection_numbers[h][i][j]`` counts vertices at distance i from x and
-    j from y over any pair (x, y) at distance h; ``witness`` holds the first
-    pair of pairs that disagree when the graph is not distance-regular.
-    """
-
-    ok: bool
-    diameter: int
-    intersection_numbers: tuple | None
-    witness: dict | None = field(default=None)
-
-    @property
-    def valency(self):
-        if self.intersection_numbers is None:
-            return None
-        return self.intersection_numbers[0][1][1] if self.diameter >= 1 else 0
-
-
-def verify_distance_regular(g: Graph) -> DistanceRegularityReport:
-    """Scan all vertex pairs for constant intersection numbers."""
-    dist = [g.bfs_distances(v) for v in range(g.n)]
-    if any(-1 in row for row in dist):
-        raise ValueError("distance-regularity check requires a connected graph")
-    diam = max(max(row) for row in dist)
-    table = [None] * (diam + 1)
-    first_pair = [None] * (diam + 1)
-    for x in range(g.n):
-        dx = dist[x]
-        for y in range(g.n):
-            dy = dist[y]
-            h = dx[y]
-            counts = [[0] * (diam + 1) for _ in range(diam + 1)]
-            for v in range(g.n):
-                counts[dx[v]][dy[v]] += 1
-            if table[h] is None:
-                table[h] = counts
-                first_pair[h] = (x, y)
-            elif table[h] != counts:
-                for i in range(diam + 1):
-                    for j in range(diam + 1):
-                        if table[h][i][j] != counts[i][j]:
-                            witness = {
-                                "h": h,
-                                "i": i,
-                                "j": j,
-                                "pair_a": first_pair[h],
-                                "count_a": table[h][i][j],
-                                "pair_b": (x, y),
-                                "count_b": counts[i][j],
-                            }
-                            return DistanceRegularityReport(
-                                False, diam, None, witness
-                            )
-    return DistanceRegularityReport(
-        True, diam, tuple(tuple(tuple(r) for r in t) for t in table), None
-    )

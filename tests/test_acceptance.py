@@ -31,7 +31,6 @@ from alike.hypercube import (
     eigen_data,
     hypercube,
     idempotent_report,
-    verify_distance_regular,
 )
 
 EXPECTED_DIMS = {
@@ -161,10 +160,10 @@ def test_criterion_7_negative_controls():
         assert group.passed is False
         assert group.witness is not None
 
-        p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        dr = verify_distance_regular(p4)
-        assert not dr.ok
-        assert dr.witness is not None
+        # J commutes with A(Q2) but is nonzero at the distant pairs
+        verdict = is_alike(g2, ExactMatrix.ones(4))
+        assert not verdict
+        assert verdict.failed_condition == "support"
 
 
 def test_criterion_8_cli_determinism():
