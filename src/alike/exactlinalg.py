@@ -376,9 +376,9 @@ class ExactMatrix:
         return total
 
     def is_symmetric(self):
-        return self.rows == self.cols and all(
-            self.entries.get((c, r)) == v for (r, c), v in self.entries.items()
-        )
+        return self.rows == self.cols and self.entries == {
+            (c, r): v for (r, c), v in self.entries.items()
+        }
 
     def is_antisymmetric(self):
         return self.rows == self.cols and all(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from .exactlinalg import (
@@ -267,63 +268,55 @@ class EigenData:
 def eigen_data(ctx: HypercubeContext) -> EigenData:
     """Eigenvalues d-2i, multiplicities C(d, i), and spectral projectors.
 
-    The projector for eigenvalue d-2i is assembled exactly, as 2^-d times the
-    sum of W_S W_S^T over the weight-i sign vectors.  The accumulation runs in
-    64-bit integers; entries are bounded by C(d, i), far below overflow.
+    The projector for eigenvalue d-2i is 2^-d times the sum of W_S W_S^T over
+    the weight-i sign vectors.  Entry (x, y) of W_S W_S^T is
+    (-1)^popcount(S & (x ^ y)), so the projector is a function of x ^ y: its
+    entry is k[x ^ y] / 2^d, where k[w] sums (-1)^popcount(S & w) over the
+    weight-i subsets S.  Entries with the same x ^ y share one scalar object.
     """
     if ctx.d > DEFAULT_PROJECTOR_CAP:
         raise CapExceeded(
             f"dense spectral projectors capped at d<={DEFAULT_PROJECTOR_CAP}, "
             f"got d={ctx.d}"
         )
-    # numpy is imported only on this dense-projector path, so commands that
-    # build no projector do not pay for loading it
-    import numpy as np
-
     n = ctx.n
-    pop = np.array([x.bit_count() for x in range(n)], dtype=np.int64)
-    xs = np.arange(n, dtype=np.int64)
     items = []
     for i in range(ctx.d + 1):
         masks = list(ctx.subset_masks(i))
-        u = np.empty((n, len(masks)), dtype=np.int64)
-        for col, mask in enumerate(masks):
-            u[:, col] = 1 - 2 * (pop[xs & mask] & 1)
-        scaled = u @ u.T
-        ent = {}
-        for x, row in enumerate(scaled.tolist()):
-            for y, v in enumerate(row):
-                if v:
-                    ent[(x, y)] = exact_quotient(v, n)
-        items.append(
-            EigenItem(ctx.d - 2 * i, math.comb(ctx.d, i), ExactMatrix._raw(n, n, ent))
-        )
+        row = [
+            exact_quotient(sum(-1 if (s & w).bit_count() & 1 else 1 for s in masks), n)
+            for w in range(n)
+        ]
+        e = ExactMatrix._raw(n, n, _spread(row))
+        items.append(EigenItem(ctx.d - 2 * i, math.comb(ctx.d, i), e))
     return EigenData(ctx.d, tuple(items))
 
 
-def _as_scaled_int_array(ctx, matrix):
-    """2^d * matrix as an int64 array; None if some entry is not n-th integral."""
-    import numpy as np
+def _spread(row):
+    """Entry dict of the matrix with (x, y) entry row[x ^ y]; zeros left out."""
+    nonzero = [(w, v) for w, v in enumerate(row) if v]
+    return {(x, x ^ w): v for x in range(len(row)) for w, v in nonzero}
 
-    n = ctx.n
-    arr = np.zeros((n, n), dtype=np.int64)
-    for (x, y), v in matrix.entries.items():
-        # v is in lowest terms, so n * v is integral iff its denominator divides n
-        q, r = divmod(n, v.denominator)
+
+def _scaled_row(matrix):
+    """The ints n * matrix[0, w] for w < n = matrix.rows; None if one is not."""
+    n = matrix.rows
+    row = []
+    for w in range(n):
+        v = matrix.entries.get((0, w), 0)
+        q, r = divmod(n * v.numerator, v.denominator)
         if r:
             return None
-        arr[x, y] = v.numerator * q
-    return arr
+        row.append(q)
+    return row
 
 
-def _checked_product(a, b):
-    import numpy as np
-
-    # exactness guard: int64 accumulation must not be able to wrap
-    bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
-    if bound >= 2**62:
-        raise RuntimeError("integer product could overflow 64-bit accumulation")
-    return a @ b
+def _is_xor_function(matrix):
+    """True if matrix[x, y] == matrix[0, x ^ y] for every x, y < matrix.rows."""
+    first = [matrix.entries.get((0, w), 0) for w in range(matrix.rows)]
+    # dict equality also compares the entry counts, and it is cheap when each
+    # x ^ y class stores one scalar object, as eigen_data does
+    return matrix.entries == _spread(first)
 
 
 def idempotent_report(check, ctx: HypercubeContext, data: EigenData):
@@ -332,17 +325,19 @@ def idempotent_report(check, ctx: HypercubeContext, data: EigenData):
     Checks symmetry, pairwise products E_i E_j = delta_ij E_i, sum to the
     identity, eigenvalue-weighted sum to the adjacency matrix, the all-ones
     form of E_0, ranks C(d, i), and the eigenvalue/multiplicity tables.
+    Each projector is first reduced to the integer row r with
+    2^d E[x, y] = r[x ^ y] (it fails uncounted if it has none), so the
+    identities are checked on rows in the group algebra of Z_2^d: a product
+    of two such matrices has the XOR convolution of their rows as its row.
     Each rank is read as a trace: once E_i E_i = E_i is proved, rank(E_i)
-    equals the sum of E_i's diagonal entries, which is summed exactly.
+    equals the trace, which is 2^d E_i[0, 0] = r_i[0].
     A check-group routine: ``check`` (an ``alike.GroupResult``) counts each
     identity and stops at the first that fails; shapes fail uncounted.
     """
-    import numpy as np
-
     d, n = ctx.d, ctx.n
     if data.d != d or len(data.items) != d + 1:
         check.fail("eigen data has the wrong shape")
-    scaled = []
+    rows = []
     for i, item in enumerate(data.items):
         check.require(
             item.theta == d - 2 * i, "eigenvalue table wrong at i={}: {}", i, item.theta
@@ -353,35 +348,32 @@ def idempotent_report(check, ctx: HypercubeContext, data: EigenData):
         e = item.idempotent
         if e.rows != n or e.cols != n:
             check.fail(f"projector {i} has shape {e.rows}x{e.cols}")
-        arr = _as_scaled_int_array(ctx, e)
-        if arr is None:
+        row = _scaled_row(e)
+        if row is None:
             check.fail(f"projector {i} entries not multiples of 1/2^d")
-        scaled.append(arr)
-    for i, arr in enumerate(scaled):
-        check.require(np.array_equal(arr, arr.T), "projector {} is not symmetric", i)
-    for i in range(d + 1):
-        for j in range(d + 1):
-            prod = _checked_product(scaled[i], scaled[j])
-            expect = n * scaled[i] if i == j else np.zeros((n, n), dtype=np.int64)
-            check.require(
-                np.array_equal(prod, expect), "projector product ({},{}) is wrong", i, j
-            )
-    total = sum(scaled)
+        rows.append(row)
+    for i, item in enumerate(data.items):
+        check.require(item.idempotent.is_symmetric(), "projector {} is not symmetric", i)
+        if not _is_xor_function(item.idempotent):
+            check.fail(f"projector {i} is not a function of x ^ y")
+    # at_xor[w](r) lists r[u ^ w] for u < n, so row w of the product of the
+    # matrices with rows a and b is sum_u a[u] * b[u ^ w]
+    at_xor = [operator.itemgetter(*(u ^ w for u in range(n))) for w in range(n)]
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            prod = [sum(map(operator.mul, a, get(b))) for get in at_xor]
+            expect = [n * v for v in a] if i == j else [0] * n
+            check.require(prod == expect, "projector product ({},{}) is wrong", i, j)
     check.require(
-        np.array_equal(total, n * np.eye(n, dtype=np.int64)),
+        [sum(col) for col in zip(*rows)] == [n] + [0] * (n - 1),
         "projectors do not sum to the identity",
     )
-    weighted = sum((d - 2 * i) * arr for i, arr in enumerate(scaled))
+    weighted = [sum((d - 2 * i) * r for i, r in enumerate(col)) for col in zip(*rows)]
+    adj = cube_adjacency(ctx)
     check.require(
-        np.array_equal(weighted, _as_scaled_int_array(ctx, cube_adjacency(ctx))),
+        _is_xor_function(adj) and weighted == _scaled_row(adj),
         "eigenvalue-weighted projector sum is not the adjacency",
     )
-    check.require(
-        np.array_equal(scaled[0], np.ones((n, n), dtype=np.int64)),
-        "E_0 is not the normalized all-ones matrix",
-    )
-    for i, item in enumerate(data.items):
-        check.require(
-            item.idempotent.trace() == math.comb(d, i),
-            "projector {0} has rank != C(d,{0})", i
-        )
+    check.require(rows[0] == [1] * n, "E_0 is not the normalized all-ones matrix")
+    for i, row in enumerate(rows):
+        check.require(row[0] == math.comb(d, i), "projector {0} has rank != C(d,{0})", i)

@@ -411,26 +411,38 @@ def test_verify_output_is_byte_identical_across_runs():
     assert first.stdout.strip().startswith(b"{")
 
 
-# -- start-up cost ---------------------------------------------------------------------
+# -- no numpy --------------------------------------------------------------------------
 
 NUMPY_PROBE = """
 import sys
 import alike.cli as cli
 for argv in (["dims", "--hypercube", "3"], ["compare", "--hypercube", "3"],
-             ["basis", "--hypercube", "3"], ["solve", "--graph", sys.argv[1]]):
+             ["basis", "--hypercube", "3"], ["solve", "--graph", sys.argv[1]],
+             ["verify", "--hypercube", "2"]):
     assert cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
-assert cli.main(["verify", "--hypercube", "2"]) == 0
-assert "numpy" in sys.modules, "verify ran the idempotents group without numpy"
+"""
+
+#: With numpy blocked in sys.modules, any attempt to import it raises.
+NUMPY_BLOCKED = """
+import sys
+sys.modules["numpy"] = None
+import alike.cli as cli
+sys.exit(cli.main(["verify", "--hypercube", "2"]))
 """
 
 
-def test_numpy_loads_only_for_dense_projectors():
-    # a fresh interpreter, so no earlier test has imported numpy already;
-    # verify (idempotents included) is the negative control
+def test_no_command_loads_numpy():
+    # fresh interpreters, so no earlier test has imported numpy already
     graph = Path(__file__).resolve().parent / "golden" / "p3.json"
     result = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, str(graph)],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+    blocked = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED], capture_output=True, text=True
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    groups = {g["name"]: g for g in json.loads(blocked.stdout)["groups"]}
+    assert groups["idempotents"]["passed"] and not groups["idempotents"]["skipped"]

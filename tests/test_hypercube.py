@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -192,24 +193,29 @@ def test_scaled_eigenvector_accepts_coordinate_iterables():
 # -- spectral projectors ----------------------------------------------------------
 
 
-def test_eigen_data_q3():
-    g, ctx = hypercube(3)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_eigen_data_dense_oracle(d):
+    # dense ExactMatrix products, independent of the report's XOR convolution
+    g, ctx = hypercube(d)
+    n = ctx.n
     data = eigen_data(ctx)
-    assert [item.theta for item in data.items] == [3, 1, -1, -3]
-    assert [item.multiplicity for item in data.items] == [1, 3, 3, 1]
-    assert data.items[0].idempotent == ExactMatrix.ones(8).scale(Fraction(1, 8))
-    ident = ExactMatrix.zeros(8)
-    weighted = ExactMatrix.zeros(8)
+    assert [item.theta for item in data.items] == [d - 2 * i for i in range(d + 1)]
+    assert [item.multiplicity for item in data.items] == [
+        math.comb(d, i) for i in range(d + 1)
+    ]
+    assert data.items[0].idempotent == ExactMatrix.ones(n).scale(Fraction(1, n))
+    ident = ExactMatrix.zeros(n)
+    weighted = ExactMatrix.zeros(n)
     for item in data.items:
         ident = ident + item.idempotent
         weighted = weighted + item.idempotent.scale(item.theta)
-    assert ident == ExactMatrix.identity(8)
+    assert ident == ExactMatrix.identity(n)
     assert weighted == adjacency(g)
     for i, item in enumerate(data.items):
         assert rank(item.idempotent) == item.multiplicity
         for j, other in enumerate(data.items):
             product = item.idempotent @ other.idempotent
-            assert product == (item.idempotent if i == j else ExactMatrix.zeros(8))
+            assert product == (item.idempotent if i == j else ExactMatrix.zeros(n))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -231,24 +237,31 @@ def test_projector_rank_equals_trace(d):
 
 
 def test_idempotent_report_catches_corruption():
+    # d=2 with E_1 replaced; each case pins (passed, checks, witness)
     _, ctx = hypercube(2)
     data = eigen_data(ctx)
-    bad = data.items[1].idempotent + ExactMatrix(4, 4, {(0, 0): Fraction(1, 4)})
-    corrupted = type(data)(
-        d=data.d,
-        items=(
-            data.items[0],
-            type(data.items[1])(
-                theta=data.items[1].theta,
-                multiplicity=data.items[1].multiplicity,
-                idempotent=bad,
-            ),
-        )
-        + data.items[2:],
-    )
-    result = GroupResult("idempotents").run(idempotent_report, ctx, corrupted)
-    assert not result.passed
-    assert result.witness is not None
+    e1 = data.items[1].idempotent
+    cases = [
+        (
+            e1 + ExactMatrix.ones(4).scale(Fraction(1, 8)),
+            (False, 4, "projector 1 entries not multiples of 1/2^d"),
+        ),
+        (e1.scale(2), (False, 13, "projector product (1,1) is wrong")),
+        (
+            e1 + ExactMatrix(4, 4, {(0, 0): Fraction(1, 4)}),
+            (False, 8, "projector 1 is not a function of x ^ y"),
+        ),
+        (
+            e1 + ExactMatrix(4, 4, {(0, 1): Fraction(1, 4)}),
+            (False, 7, "projector 1 is not symmetric"),
+        ),
+    ]
+    for bad, expected in cases:
+        items = list(data.items)
+        items[1] = dataclasses.replace(items[1], idempotent=bad)
+        corrupted = dataclasses.replace(data, items=tuple(items))
+        result = GroupResult("idempotents").run(idempotent_report, ctx, corrupted)
+        assert (result.passed, result.checks, result.witness) == expected
 
 
 def test_eigen_data_cap():
