@@ -299,7 +299,7 @@ def _spread(row):
 
 
 def _scaled_row(matrix):
-    """The ints n * matrix[0, w] for w < n = matrix.rows; None if one is not."""
+    """n * matrix[0, w] for w < n = matrix.rows, as ints; None if one is not."""
     n = matrix.rows
     row = []
     for w in range(n):
@@ -353,8 +353,9 @@ def idempotent_report(check, ctx: HypercubeContext, data: EigenData):
             check.fail(f"projector {i} entries not multiples of 1/2^d")
         rows.append(row)
     for i, item in enumerate(data.items):
-        check.require(item.idempotent.is_symmetric(), "projector {} is not symmetric", i)
-        if not _is_xor_function(item.idempotent):
+        e = item.idempotent
+        check.require(e.is_symmetric(), "projector {} is not symmetric", i)
+        if not _is_xor_function(e):
             check.fail(f"projector {i} is not a function of x ^ y")
     # at_xor[w](r) lists r[u ^ w] for u < n, so row w of the product of the
     # matrices with rows a and b is sum_u a[u] * b[u ^ w]
@@ -376,4 +377,6 @@ def idempotent_report(check, ctx: HypercubeContext, data: EigenData):
     )
     check.require(rows[0] == [1] * n, "E_0 is not the normalized all-ones matrix")
     for i, row in enumerate(rows):
-        check.require(row[0] == math.comb(d, i), "projector {0} has rank != C(d,{0})", i)
+        check.require(
+            row[0] == math.comb(d, i), "projector {0} has rank != C(d,{0})", i
+        )
