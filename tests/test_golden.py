@@ -44,6 +44,8 @@ def _cases():
             cases[f"basis-d{d}-{part}-triplet"] = (
                 "basis", "--hypercube", str(d), "--part", part, "--format", "triplet"
             )
+    # the largest JSON basis golden: 11 matrices of 16 x 16
+    cases["basis-d4-full-json"] = ("basis", "--hypercube", "4", "--part", "full")
     for graph in ("p3", "petersen"):
         for command in ("dims", "solve", "basis"):
             cases[f"{command}-{graph}"] = (command, "--graph", f"{graph}.json")
@@ -52,6 +54,7 @@ def _cases():
         cases[f"solve-c10-1-3-{part}-triplet"] = (
             "solve", "--graph", "c10-1-3.json", "--part", part, "--format", "triplet"
         )
+    cases["solve-c10-1-3-sym-json"] = ("solve", "--graph", "c10-1-3.json", "--part", "sym")
     return cases
 
 
