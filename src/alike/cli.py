@@ -14,11 +14,11 @@ comparison failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .alike import (
     DEFAULT_BRUTE_CAP,
@@ -66,27 +66,50 @@ def _construction_cap():
 
 
 def _emit(payload):
-    # Streamed in batches of tokens: a large basis document is never held as
-    # one string, and one write per token (json.dump) takes 2.5x as long.
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    while batch := "".join(itertools.islice(chunks, 1 << 16)):
-        sys.stdout.write(batch)
-    sys.stdout.write("\n")
+    # The small reports (dims, verify, compare); basis matrices go through
+    # _emit_matrices, which writes the same layout from their sparse entries.
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _matrix_payload(label, m):
-    # every zero entry shares one "0" string
-    entries = [["0"] * m.cols for _ in range(m.rows)]
+def _indented_list(items, indent):
+    """A list in json.dumps(indent=2) layout; each item carries its own indent."""
+    return "[" + ",".join(items) + "\n" + " " * indent + "]" if items else "[]"
+
+
+# one entry of a matrix row, at its indent in the json.dumps(indent=2) layout
+_ENTRY = "\n" + " " * 10
+_ZERO = _ENTRY + '"0"'
+
+
+def _matrix_json(label, m):
+    """One element of "matrices", byte-identical to json.dumps(indent=2)."""
+    grid = [[_ZERO] * m.cols for _ in range(m.rows)]
     for (r, c), v in m.entries.items():
-        entries[r][c] = str(v)
-    return {"label": label, "rows": m.rows, "cols": m.cols, "entries": entries}
+        grid[r][c] = _ENTRY + encode_basestring_ascii(str(v))
+    entries = _indented_list(
+        ["\n" + " " * 8 + _indented_list(row, 8) for row in grid], 6
+    )
+    return (
+        f'\n    {{\n      "label": {encode_basestring_ascii(label)},'
+        f'\n      "rows": {m.rows},\n      "cols": {m.cols},'
+        f'\n      "entries": {entries}\n    }}'
+    )
 
 
 def _emit_matrices(args, labeled, payload):
-    """Write labeled matrices as triplets, or as ``payload`` plus "matrices"."""
+    """Write labeled matrices as triplets, or as ``payload`` plus "matrices".
+
+    The JSON bytes are those of json.dumps(payload, indent=2) with the dense
+    "matrices" list as the last key.  Each matrix is encoded from its sparse
+    entries and written at once, so the document is never one string.
+    """
     if args.format == "json":
-        payload["matrices"] = [_matrix_payload(label, m) for label, m in labeled]
-        _emit(payload)
+        out = sys.stdout  # looked up per call: callers redirect stdout
+        head = json.dumps(payload, indent=2)[: -len("\n}")]
+        out.write(head + ',\n  "matrices": [')
+        for k, (label, m) in enumerate(labeled):
+            out.write(("," if k else "") + _matrix_json(label, m))
+        out.write("\n  ]\n}\n" if labeled else "]\n}\n")
         return 0
     lines = []
     for label, matrix in labeled:

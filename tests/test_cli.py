@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
-from alike.cli import main
+from alike.cli import _emit_matrices, main
 from alike.exactlinalg import ExactMatrix
 from alike.hypercube import hypercube
 from alike.alike import GROUP_NAMES, is_alike
@@ -128,6 +133,47 @@ def test_basis_full_matrices_are_members(capsys):
     assert data["count"] == 7
     for payload in data["matrices"]:
         assert is_alike(g, matrix_from_payload(payload))
+
+
+def dense_matrix_payload(label, m):
+    """The dense "matrices" element, as json.dumps would be handed it."""
+    entries = [["0"] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        entries[r][c] = str(v)
+    return {"label": label, "rows": m.rows, "cols": m.cols, "entries": entries}
+
+
+# zero is drawn often, so most rows hold one or two nonzeros
+_entry = st.one_of(
+    st.just(0),
+    st.integers(-1000, 1000),
+    st.fractions(-9, 9, max_denominator=7),
+)
+_label = st.text(st.one_of(st.sampled_from('"\\/\u00e9\u20ac\n'), st.characters()))
+
+
+@st.composite
+def labeled_matrices(draw):
+    labeled = []
+    for _ in range(draw(st.integers(0, 3))):
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        cells = draw(st.lists(_entry, min_size=rows * cols, max_size=rows * cols))
+        m = ExactMatrix(rows, cols, {divmod(k, cols): v for k, v in enumerate(cells)})
+        labeled.append((draw(_label), m))
+    return labeled
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(labeled_matrices(), _label)
+def test_json_matrices_match_the_indent_encoder(labeled, path):
+    payload = {"source": {"type": "graph", "path": path}, "count": len(labeled)}
+    document = dict(payload, matrices=[dense_matrix_payload(*lm) for lm in labeled])
+    expected = json.JSONEncoder(indent=2).encode(document) + "\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _emit_matrices(SimpleNamespace(format="json"), labeled, payload) == 0
+    assert out.getvalue() == expected
+    assert json.loads(out.getvalue()) == document
 
 
 # -- solve ------------------------------------------------------------------------
