@@ -5,11 +5,10 @@ products, fraction-free elimination, and canonical reduced-echelon bases for
 comparing subspaces exactly.  Elimination has two forward orders (sparse
 pivots for ranks and kernels, column order for canonical forms) that return
 one pivot-row format, and one back-substitution for both.  Entries are
-``int`` or ``fractions.Fraction``: constructors and the elimination routines
-store an integral value as an ``int``, so integer matrices never pay for
-``Fraction`` arithmetic.  (Arithmetic on ``Fraction`` entries may still leave
-an integral ``Fraction``, which compares, hashes and prints like the
-``int``.)  No floating point anywhere: a float entry is a ``TypeError``.
+``int`` or ``fractions.Fraction``: constructors, arithmetic and the
+elimination routines store an integral value as an ``int``, so integer
+matrices never pay for ``Fraction`` arithmetic.  No floating point anywhere:
+a float entry is a ``TypeError``.
 Values are treated as immutable: every operation returns a new object, so
 instances are safe to share across threads.
 """
@@ -46,6 +45,20 @@ def exact_quotient(num, den):
     return _rat(Fraction(num, den))
 
 
+def _canonical(entries):
+    """``entries`` with every integral Fraction value replaced by its int.
+
+    Products and sums of Fractions can be Fraction(k, 1).  The dict is
+    changed in place; one pass over the value types skips the loop when it
+    holds no Fraction.
+    """
+    if Fraction in set(map(type, entries.values())):
+        for key, v in entries.items():
+            if type(v) is Fraction and v.denominator == 1:
+                entries[key] = v.numerator
+    return entries
+
+
 def _merge(a, b, op):
     """Entry dict of op(a, b), op being operator.add or operator.sub.
 
@@ -55,10 +68,12 @@ def _merge(a, b, op):
     get = out.get
     for key, v in b.items():
         s = op(get(key, 0), v)
-        if s:
-            out[key] = s
-        else:
+        if not s:
             del out[key]
+        elif type(s) is Fraction and s.denominator == 1:
+            out[key] = s.numerator
+        else:
+            out[key] = s
     return out
 
 
@@ -139,7 +154,8 @@ class ExactVector:
         c = _rat(c)
         if not c:
             return ExactVector._raw(self.n, {})
-        return ExactVector._raw(self.n, {i: v * c for i, v in self.entries.items()})
+        ent = {i: v * c for i, v in self.entries.items()}
+        return ExactVector._raw(self.n, _canonical(ent))
 
     def inner(self, other):
         """Standard bilinear form <u, v> = sum_i u_i v_i."""
@@ -273,9 +289,8 @@ class ExactMatrix:
         c = _rat(c)
         if not c:
             return ExactMatrix._raw(self.rows, self.cols, {})
-        return ExactMatrix._raw(
-            self.rows, self.cols, {k: v * c for k, v in self.entries.items()}
-        )
+        ent = {k: v * c for k, v in self.entries.items()}
+        return ExactMatrix._raw(self.rows, self.cols, _canonical(ent))
 
     def _diagonal_values(self):
         # None unless strictly diagonal; cheap pre-gate on nnz keeps this O(n)
@@ -306,7 +321,7 @@ class ExactMatrix:
                 if dv is None:
                     continue
                 # unit scaling dominates in practice; skip the gcd work
-                ent[(r, c)] = v if dv == 1 else -v if dv == -1 else dv * v
+                ent[(r, c)] = v if dv == 1 else -v if dv == -1 else _rat(dv * v)
             return ExactMatrix._raw(self.rows, other.cols, ent)
         diag = other._diagonal_values()
         if diag is not None:
@@ -315,7 +330,7 @@ class ExactMatrix:
                 dv = diag.get(c)
                 if dv is None:
                     continue
-                ent[(r, c)] = v if dv == 1 else -v if dv == -1 else v * dv
+                ent[(r, c)] = v if dv == 1 else -v if dv == -1 else _rat(v * dv)
             return ExactMatrix._raw(self.rows, other.cols, ent)
         rows_of = {}
         for (r, c), v in other.entries.items():
@@ -336,7 +351,7 @@ class ExactMatrix:
                         acc[key] = s
                     else:
                         del acc[key]
-        return ExactMatrix._raw(self.rows, other.cols, acc)
+        return ExactMatrix._raw(self.rows, other.cols, _canonical(acc))
 
     def matvec(self, vec):
         if not isinstance(vec, ExactVector):
@@ -359,7 +374,7 @@ class ExactMatrix:
                     acc[r] = s
                 else:
                     del acc[r]
-        return ExactVector._raw(self.rows, acc)
+        return ExactVector._raw(self.rows, _canonical(acc))
 
     def transpose(self):
         return ExactMatrix._raw(
@@ -399,7 +414,7 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     for (ra, ca), va in a.entries.items():
         for (rb, cb), vb in b.entries.items():
             ent[(ra + rb * ar, ca + cb * ac)] = va * vb
-    return ExactMatrix._raw(a.rows * b.rows, a.cols * b.cols, ent)
+    return ExactMatrix._raw(a.rows * b.rows, a.cols * b.cols, _canonical(ent))
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

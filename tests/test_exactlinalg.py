@@ -466,3 +466,31 @@ def test_subspace_basis_matches_the_dense_oracle(span):
     basis = SubspaceBasis(n, vectors)
     assert basis.pivots == tuple(pivot_cols)
     assert basis.vectors == tuple(ExactVector.from_list(row) for row in reduced)
+
+
+
+@_exact
+@given(small_matrices(max_dim=4), st.data())
+def test_arithmetic_results_hold_no_integral_fraction(a, data):
+    # 1/2 + 1/2, 2 * 1/2 and 3/2 * 2/3 are integral and must come back as int
+    def scalars(count):
+        return data.draw(st.lists(_scalars, min_size=count, max_size=count))
+
+    def shaped(rows, cols):
+        cells = enumerate(scalars(rows * cols))
+        return ExactMatrix(rows, cols, {divmod(k, cols): x for k, x in cells})
+
+    n = a.cols
+    same = shaped(a.rows, n)
+    right = shaped(n, data.draw(st.integers(1, 4)))
+    diag = ExactMatrix(n, n, {(i, i): data.draw(_nonzero) for i in range(n)})
+    u, v = ExactVector.from_list(scalars(n)), ExactVector.from_list(scalars(n))
+    c = data.draw(_nonzero)
+    results = [
+        a + same, a - same, a.scale(c), a @ right, a @ diag, diag @ right,
+        kron(a, right), a.matvec(u), u + v, u - v, u.scale(c),
+    ]
+    for result in results:
+        assert all(type(x) is int or x.denominator > 1 for x in result.entries.values())
+    halved = ExactMatrix.identity(1).scale(2).scale(Fraction(1, 2))
+    assert type(halved.entries[(0, 0)]) is int
