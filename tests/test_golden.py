@@ -54,7 +54,9 @@ def _cases():
         cases[f"solve-c10-1-3-{part}-triplet"] = (
             "solve", "--graph", "c10-1-3.json", "--part", part, "--format", "triplet"
         )
-    cases["solve-c10-1-3-sym-json"] = ("solve", "--graph", "c10-1-3.json", "--part", "sym")
+    cases["solve-c10-1-3-sym-json"] = (
+        "solve", "--graph", "c10-1-3.json", "--part", "sym"
+    )
     return cases
 
 
