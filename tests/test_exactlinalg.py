@@ -468,7 +468,6 @@ def test_subspace_basis_matches_the_dense_oracle(span):
     assert basis.vectors == tuple(ExactVector.from_list(row) for row in reduced)
 
 
-
 @_exact
 @given(small_matrices(max_dim=4), st.data())
 def test_arithmetic_results_hold_no_integral_fraction(a, data):
