@@ -221,11 +221,12 @@ def closed_form_spans(ctx: HypercubeContext) -> dict:
 def characterization_residual(ctx: HypercubeContext, b: ExactMatrix, i, j) -> ExactMatrix:
     """s_i s_j B - s_i B s_j - s_j B s_i + B s_i s_j with s = alpha_star.
 
-    Computed as [s_i, [s_j, B]] in 4 products: the diagonal s_i and s_j
-    commute, so the nested commutator expands to the same four terms.  Entry
-    (x, y) equals (s_i[x,x] - s_i[y,y]) (s_j[x,x] - s_j[y,y]) B[x,y], so the
-    residual vanishes for every pair i < j exactly when the support of B lies
-    inside {equal or adjacent}.
+    Computed as [s_i, [s_j, B]]: the diagonal s_i and s_j commute, so the
+    nested commutator expands to the same four terms, and each commutator
+    with a diagonal is one pass over the entries, with no matrix product.
+    Entry (x, y) equals (s_i[x,x] - s_i[y,y]) (s_j[x,x] - s_j[y,y]) B[x,y],
+    so the residual vanishes for every pair i < j exactly when the support
+    of B lies inside {equal or adjacent}.
     """
     if not 1 <= i < j <= ctx.d:
         raise ValueError(f"need 1 <= i < j <= {ctx.d}, got ({i}, {j})")
@@ -287,6 +288,7 @@ SKIP_ALIASES = {"brute": "dimensions"}
 
 # Largest d checked exhaustively, and the sample size above it.
 _EIGEN_EXHAUSTIVE_D, _EIGEN_SAMPLE = 10, 128
+_CHAR_EXHAUSTIVE_D, _CHAR_SAMPLE = 8, 10
 _TABLE_EXHAUSTIVE_D, _TABLE_SAMPLE = 5, 120
 
 
@@ -409,12 +411,14 @@ def characterization_cases(check, ctx, g, rng, cases):
                 not residual.entries,
                 "supported case {}: residual ({},{}) is nonzero", case, i, j
             )
-    # pairs must differ in at least two coordinates so a residual pair exists
-    outside = [
-        (x, y)
-        for x, y in itertools.product(range(g.n), repeat=2)
-        if (x ^ y).bit_count() >= 2 and not g.has_edge(x, y)
-    ]
+    # pairs must differ in at least two coordinates so a residual pair exists;
+    # row-major, so the seeded draws below are fixed
+    outside = []
+    for x in range(g.n):
+        near = set(g.neighbors(x))
+        outside += [
+            (x, y) for y in range(g.n) if (x ^ y).bit_count() >= 2 and y not in near
+        ]
     if not (outside and pairs):
         return
     stars = {i: alpha_star(ctx, i) for i in range(1, ctx.d + 1)}
@@ -505,6 +509,9 @@ def _group_characterization(check, ctx, g, rng):
     n = ctx.n
     stars = {i: alpha_star(ctx, i) for i in range(1, ctx.d + 1)}
     pairs = coordinate_pairs(ctx.d)
+    exhaustive = ctx.d <= _CHAR_EXHAUSTIVE_D
+    # above the cap: a sample of pairs per matrix, and no b_pq block
+    check.sampled = not exhaustive
     for _ in range(5):
         ent = {}
         for _ in range(3 * n):
@@ -512,7 +519,7 @@ def _group_characterization(check, ctx, g, rng):
             if value:
                 ent[(x, y)] = value
         b = ExactMatrix._raw(n, n, ent)
-        chosen = pairs if ctx.d <= 5 else rng.sample(pairs, 10)
+        chosen = pairs if exhaustive else rng.sample(pairs, _CHAR_SAMPLE)
         for i, j in chosen:
             residual = characterization_residual(ctx, b, i, j)
             formula = {}
@@ -524,7 +531,7 @@ def _group_characterization(check, ctx, g, rng):
                 residual.entries == formula,
                 "residual ({},{}) disagrees with the entrywise formula", i, j
             )
-    if 2 <= ctx.d <= 6:
+    if exhaustive:
         for p, q in pairs:
             b = b_matrix(ctx, p, q)
             for i, j in pairs:

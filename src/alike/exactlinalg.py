@@ -9,6 +9,8 @@ one pivot-row format, and one back-substitution for both.  Entries are
 elimination routines store an integral value as an ``int``, so integer
 matrices never pay for ``Fraction`` arithmetic.  No floating point anywhere:
 a float entry is a ``TypeError``.
+A commutator with a diagonal operand is one pass that scales each entry of
+the other operand by a difference of two diagonal values.
 Values are treated as immutable: every operation returns a new object, so
 instances are safe to share across threads.
 """
@@ -418,7 +420,24 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """a @ b - b @ a."""
+    """a @ b - b @ a.
+
+    With a diagonal D on either side, entry (r, c) is (D[r] - D[c]) B[r, c],
+    negated when D is on the right: one multiply per entry of B whose factor
+    is nonzero, and no intermediate products.
+    """
+    if a.rows == a.cols == b.rows == b.cols:
+        diag, other, sign = a._diagonal_values(), b, 1
+        if diag is None:
+            diag, other, sign = b._diagonal_values(), a, -1
+        if diag is not None:
+            get = diag.get
+            ent = {}
+            for (r, c), v in other.entries.items():
+                factor = get(r, 0) - get(c, 0)
+                if factor:
+                    ent[(r, c)] = _rat(sign * factor * v)
+            return ExactMatrix._raw(a.rows, a.cols, ent)
     return a @ b - b @ a
 
 

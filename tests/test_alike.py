@@ -593,6 +593,22 @@ def test_eigenbasis_sampled_branch(monkeypatch):
     assert first == second
 
 
+@pytest.mark.parametrize("cap, sampled", [(5, False), (4, True)])
+def test_characterization_sampled_branch(monkeypatch, cap, sampled):
+    # the sample draws 10 of the C(d, 2) pairs, so d >= 5
+    monkeypatch.setattr(alike_module, "_CHAR_EXHAUSTIVE_D", cap)
+    _, ctx = hypercube(5)
+    first, second = (
+        verify_all(ctx, groups=["characterization"], seed=5).group("characterization")
+        for _ in range(2)
+    )
+    assert first.passed and first.sampled is sampled
+    # 50 supported cases of 10 pairs, 50 planted cases, 5 matrices against
+    # the formula under 10 pairs; in full, every b_pq under every pair too
+    assert first.checks == 50 * 10 + 50 + 5 * 10 + (0 if sampled else 10 * 10)
+    assert first == second
+
+
 def test_restriction_detects_a_scaled_bij(monkeypatch):
     original = alike_module.b_matrix
     monkeypatch.setattr(
