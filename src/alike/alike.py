@@ -16,13 +16,13 @@ returns a structured report.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .exactlinalg import (
     CapExceeded,
@@ -64,8 +64,7 @@ def support_positions(g: Graph):
     return tuple([(x, x) for x in range(g.n)] + edges)
 
 
-@dataclass(frozen=True)
-class AlikeCheck:
+class AlikeCheck(NamedTuple):
     """Outcome of the two membership conditions, with a witness on failure."""
 
     ok: bool
@@ -77,8 +76,7 @@ class AlikeCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
-class AlikeDecomposition:
+class AlikeDecomposition(NamedTuple):
     """Full space plus its symmetric and antisymmetric parts.
 
     All three bases live in the vectorized n^2-dimensional ambient space and
@@ -296,8 +294,7 @@ class _Failed(Exception):
     """Ends a check group at its first failing requirement."""
 
 
-@dataclass
-class GroupResult:
+class GroupResult(SimpleNamespace):
     """Verdict, check count and sampling flag of one check group.
 
     A check routine takes it first.  ``require`` counts a condition that holds;
@@ -306,14 +303,15 @@ class GroupResult:
     failure, so a passing check formats nothing.
     """
 
-    # field order is the key order of the serialized report
-    name: str
-    passed: bool | None = True
-    checks: int = 0
-    sampled: bool = False
-    skipped: bool = False
-    reason: str | None = None
-    witness: str | None = None
+    def __init__(
+        self, name, passed=True, checks=0, sampled=False, skipped=False,
+        reason=None, witness=None,
+    ):
+        # the keyword order is the key order of the serialized report
+        super().__init__(
+            name=name, passed=passed, checks=checks, sampled=sampled,
+            skipped=skipped, reason=reason, witness=witness,
+        )
 
     def run(self, group, *args):
         """Call ``group(self, *args)`` up to its first failure; returns self."""
@@ -335,15 +333,16 @@ class GroupResult:
         self.checks += 1
 
     def to_dict(self):
-        return dataclasses.asdict(self)
+        return dict(vars(self))
 
 
-@dataclass
-class VerificationReport:
-    d: int
-    seed: int
-    groups: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
+class VerificationReport(SimpleNamespace):
+    def __init__(self, d, seed, groups=None, timings=None):
+        super().__init__(
+            d=d, seed=seed,
+            groups=[] if groups is None else groups,
+            timings={} if timings is None else timings,
+        )
 
     @property
     def all_passed(self):
@@ -393,6 +392,31 @@ def _residual_factor(stars, i, j, x, y):
     return (stars[i][x, x] - stars[i][y, y]) * (stars[j][x, x] - stars[j][y, y])
 
 
+def _close_columns(g, x):
+    """The columns y of row x for which (x, y) is not a distant pair.
+
+    A distant pair differs in at least two coordinates, so a residual pair
+    exists for it, and is not an edge of g.  The rest of row x is x itself,
+    its neighbours in g, and x with one bit flipped.
+    """
+    flips = (x ^ (1 << b) for b in range(g.n.bit_length()))
+    return {x, *g.neighbors(x), *(y for y in flips if y < g.n)}
+
+
+def _distant_counts(g):
+    """Number of distant pairs (x, y) in each row x, without listing them."""
+    return [g.n - len(_close_columns(g, x)) for x in range(g.n)]
+
+
+def _distant_pair(g, counts, k):
+    """The k-th distant pair in row-major order, ``counts`` from _distant_counts."""
+    for x, count in enumerate(counts):
+        if k < count:
+            close = _close_columns(g, x)
+            return x, [y for y in range(g.n) if y not in close][k]
+        k -= count
+
+
 def characterization_cases(check, ctx, g, rng, cases):
     """Seeded two-direction test of the support/residual equivalence.
 
@@ -411,19 +435,15 @@ def characterization_cases(check, ctx, g, rng, cases):
                 not residual.entries,
                 "supported case {}: residual ({},{}) is nonzero", case, i, j
             )
-    # pairs must differ in at least two coordinates so a residual pair exists;
-    # row-major, so the seeded draws below are fixed
-    outside = []
-    for x in range(g.n):
-        near = set(g.neighbors(x))
-        outside += [
-            (x, y) for y in range(g.n) if (x ^ y).bit_count() >= 2 and y not in near
-        ]
-    if not (outside and pairs):
+    counts = _distant_counts(g)
+    total = sum(counts)
+    if not (total and pairs):
         return
     stars = {i: alpha_star(ctx, i) for i in range(1, ctx.d + 1)}
     for case in range(cases):
-        x, y = rng.choice(outside)
+        # randrange(total) draws as rng.choice would from the row-major list
+        # of every distant pair, so the seeded cases stay fixed
+        x, y = _distant_pair(g, counts, rng.randrange(total))
         planted = _random_nonzero_fraction(rng)
         b = _random_support_matrix(g.n, positions, rng)
         b = ExactMatrix._raw(g.n, g.n, {**b.entries, (x, y): planted})

@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactlinalg import (
     CapExceeded,
@@ -117,15 +117,20 @@ def load_graph(path) -> Graph:
     return graph_from_dict(doc)
 
 
-@dataclass(frozen=True)
-class HypercubeContext:
-    """Dimension plus the vertex <-> bitmask encoding used by all cube builders."""
-
+class _CubeDimension(NamedTuple):
     d: int
 
-    def __post_init__(self):
-        if self.d < 1:
+
+class HypercubeContext(_CubeDimension):
+    """Dimension plus the vertex <-> bitmask encoding used by all cube builders."""
+
+    __slots__ = ()
+
+    # here, not in _CubeDimension: typing.NamedTuple forbids __new__ in its body
+    def __new__(cls, d):
+        if d < 1:
             raise ValueError("hypercube dimension must be at least 1")
+        return super().__new__(cls, d)
 
     @property
     def n(self):
@@ -224,8 +229,7 @@ def alpha_star_via_kron(ctx: HypercubeContext, i) -> ExactMatrix:
     return _fold_factors(ctx, i, SIGN2)
 
 
-@dataclass(frozen=True)
-class ScaledEigenvector:
+class ScaledEigenvector(NamedTuple):
     """Sign vector W_S with entry (-1)^popcount(S & x) at vertex x.
 
     These are the character eigenvectors of the cube adjacency matrix scaled
@@ -252,15 +256,13 @@ def scaled_eigenvector(ctx: HypercubeContext, s) -> ScaledEigenvector:
     return ScaledEigenvector(ctx.d, mask, ExactVector._raw(ctx.n, ent))
 
 
-@dataclass(frozen=True)
-class EigenItem:
+class EigenItem(NamedTuple):
     theta: int
     multiplicity: int
     idempotent: ExactMatrix
 
 
-@dataclass(frozen=True)
-class EigenData:
+class EigenData(NamedTuple):
     d: int
     items: tuple
 

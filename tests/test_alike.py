@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,8 +5,11 @@ import pytest
 
 import alike.alike as alike_module
 from alike.alike import (
+    AlikeCheck,
     GroupResult,
     VerificationReport,
+    _distant_counts,
+    _distant_pair,
     _random_support_matrix,
     b_matrix,
     bij_action_on_wS,
@@ -380,6 +382,48 @@ def test_characterization_case_runner_counts():
     assert result.checks == 10 * 3 + 10  # C(3,2) residuals per supported case + planted
 
 
+def _distant_pairs_oracle(g):
+    """Every distant pair, row-major: the list the draws used to be taken from."""
+    return [
+        (x, y)
+        for x in range(g.n)
+        for y in range(g.n)
+        if (x ^ y).bit_count() >= 2 and not g.has_edge(x, y)
+    ]
+
+
+def _graphs_for_distant_pairs():
+    cubes = {f"q{d}": hypercube(d)[0] for d in range(1, 7)}
+    q4, q6 = sorted(cubes["q4"].edges), sorted(cubes["q6"].edges)
+    return {
+        **cubes,
+        "corrupted-q2": corrupted_q2(),
+        "q4-less-an-edge": Graph(16, [e for e in q4 if e != (0, 8)]),
+        "q4-plus-edges-at-distance-2-and-3": Graph(16, q4 + [(0, 3), (1, 12)]),
+        "q6-plus-an-edge-at-distance-6": Graph(64, q6 + [(5, 58)]),
+        "p6": path_graph(6),  # n is not a power of two
+    }
+
+
+DISTANT_PAIR_GRAPHS = _graphs_for_distant_pairs()
+
+
+@pytest.mark.parametrize("name", DISTANT_PAIR_GRAPHS)
+def test_distant_pairs_match_the_list_oracle(name):
+    g = DISTANT_PAIR_GRAPHS[name]
+    oracle = _distant_pairs_oracle(g)
+    counts = _distant_counts(g)
+    assert sum(counts) == len(oracle)
+    assert [_distant_pair(g, counts, k) for k in range(len(oracle))] == oracle
+    # randrange(len) and choice consume the stream alike, so the draws match
+    for seed in range(5):
+        by_index, by_choice = random.Random(seed), random.Random(seed)
+        if oracle:
+            drawn = _distant_pair(g, counts, by_index.randrange(len(oracle)))
+            assert drawn == by_choice.choice(oracle)
+        assert by_index.getstate() == by_choice.getstate()
+
+
 # -- restriction to the second-largest eigenspace ------------------------------------
 
 
@@ -514,6 +558,31 @@ def test_all_passed_needs_a_group_that_ran():
     assert not VerificationReport(2, 0, [failed, skipped]).all_passed
 
 
+def test_result_records_keep_their_semantics():
+    g = path_graph(3)
+    verdict = is_alike(g, ExactMatrix(3, 3, {(0, 2): 1}))
+    assert not verdict
+    assert not AlikeCheck(False, "support", (0, 2), 1)
+    assert AlikeCheck(True)
+    for record, name in [(verdict, "ok"), (solve_alike(g), "full")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    result = GroupResult("alpha", False, 1, witness="forced")
+    assert result == GroupResult("alpha", passed=False, checks=1, witness="forced")
+    assert result != GroupResult("alpha")
+    result.sampled = True
+    assert list(result.to_dict()) == [
+        "name", "passed", "checks", "sampled", "skipped", "reason", "witness"
+    ]
+    positional = VerificationReport(2, 0, [result], {"alpha": 0.5})
+    keyword = VerificationReport(d=2, seed=0, groups=[result], timings={"alpha": 0.5})
+    assert positional == keyword
+    # each report gets its own default list and dict
+    first, second = VerificationReport(2, 0), VerificationReport(d=2, seed=0)
+    first.groups.append(result)
+    assert (second.groups, second.timings) == ([], {})
+
+
 # (checks passed before the failing one, witness) of each group that reads
 # the graph, on the corrupted Q2
 CORRUPTED_Q2_FAILURES = {
@@ -544,7 +613,7 @@ def _patch_sign_vector(monkeypatch, mask, change):
 
     def patched(ctx, s):
         w = original(ctx, s)
-        return dataclasses.replace(w, vec=change(w.vec)) if s == mask else w
+        return w._replace(vec=change(w.vec)) if s == mask else w
 
     monkeypatch.setattr(alike_module, "scaled_eigenvector", patched)
 

@@ -492,3 +492,22 @@ def test_no_command_loads_numpy():
     assert blocked.returncode == 0, blocked.stderr
     groups = {g["name"]: g for g in json.loads(blocked.stdout)["groups"]}
     assert groups["idempotents"]["passed"] and not groups["idempotents"]["skipped"]
+
+
+# -- start-up --------------------------------------------------------------------------
+
+STARTUP_PROBE = """
+import sys
+import alike.cli
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter: pytest itself has imported both; together they
+    # cost every `alike` process about 10 ms of start-up
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

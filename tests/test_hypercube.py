@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -76,6 +75,20 @@ def test_context_encoding():
         ctx.bit(4)
     with pytest.raises(ValueError):
         HypercubeContext(0)
+
+
+def test_cube_records_reject_assignment():
+    _, ctx = hypercube(2)
+    data = eigen_data(ctx)
+    records = [
+        (ctx, "d"),
+        (scaled_eigenvector(ctx, 1), "vec"),
+        (data, "items"),
+        (data.items[0], "idempotent"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 # -- alpha and alpha_star ---------------------------------------------------------
@@ -258,8 +271,8 @@ def test_idempotent_report_catches_corruption():
     ]
     for bad, expected in cases:
         items = list(data.items)
-        items[1] = dataclasses.replace(items[1], idempotent=bad)
-        corrupted = dataclasses.replace(data, items=tuple(items))
+        items[1] = items[1]._replace(idempotent=bad)
+        corrupted = data._replace(items=tuple(items))
         result = GroupResult("idempotents").run(idempotent_report, ctx, corrupted)
         assert (result.passed, result.checks, result.witness) == expected
 
