@@ -191,13 +191,28 @@ def closed_form_sym_basis(ctx: HypercubeContext) -> list[ExactMatrix]:
 
 
 def b_matrix(ctx: HypercubeContext, i, j) -> ExactMatrix:
-    """b_ij = alpha_star_i A alpha_star_j - alpha_star_j A alpha_star_i."""
+    """b_ij = alpha_star_i A alpha_star_j - alpha_star_j A alpha_star_i.
+
+    With s = alpha_star, s_i and s_j are diagonal, so (s_i A s_j)[x, y] is
+    s_i[x] A[x, y] s_j[y], and entry (x, y) of b_ij is
+
+        A[x, y] (s_i[x] s_j[y] - s_j[x] s_i[y]).
+
+    That is one pass over the entries of A, in A's order, with no matrix
+    product.  The factor vanishes on every edge that flips neither bit i nor
+    bit j, and those zeros are dropped.
+    """
     if not 1 <= i < j <= ctx.d:
         raise ValueError(f"need 1 <= i < j <= {ctx.d}, got ({i}, {j})")
     a = cube_adjacency(ctx)
-    si = alpha_star(ctx, i)
-    sj = alpha_star(ctx, j)
-    return si @ a @ sj - sj @ a @ si
+    si = alpha_star(ctx, i)._diagonal_values().get
+    sj = alpha_star(ctx, j)._diagonal_values().get
+    ent = {}
+    for (x, y), v in a.entries.items():
+        factor = si(x, 0) * sj(y, 0) - sj(x, 0) * si(y, 0)
+        if factor:
+            ent[(x, y)] = v * factor
+    return ExactMatrix._raw(ctx.n, ctx.n, ent)
 
 
 def closed_form_antisym_basis(ctx: HypercubeContext) -> list[ExactMatrix]:

@@ -76,39 +76,63 @@ def _indented_list(items, indent):
     return "[" + ",".join(items) + "\n" + " " * indent + "]" if items else "[]"
 
 
-# one entry of a matrix row, at its indent in the json.dumps(indent=2) layout
-_ENTRY = "\n" + " " * 10
-_ZERO = _ENTRY + '"0"'
+# a zero entry of a matrix row, at its indent in the json.dumps(indent=2) layout
+_ZERO = "\n" + " " * 10 + '"0"'
 
 
-def _matrix_json(label, m):
-    """One element of "matrices", byte-identical to json.dumps(indent=2)."""
-    grid = [[_ZERO] * m.cols for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        grid[r][c] = _ENTRY + encode_basestring_ascii(str(v))
-    entries = _indented_list(
-        ["\n" + " " * 8 + _indented_list(row, 8) for row in grid], 6
-    )
-    return (
+def _zero_layout(rows, cols):
+    """The "entries" text of an all-zero rows x cols matrix, and its cell offsets.
+
+    Returns (text, first, row_step): the '"0"' of cell (r, c) starts at
+    first + r * row_step + c * (len(_ZERO) + 1), since every cell and every
+    row of the layout has the same width.
+    """
+    row = "\n" + " " * 8 + _indented_list([_ZERO] * cols, 8)
+    text = _indented_list([row] * rows, 6)
+    return text, text.find('"0"'), len(row) + 1
+
+
+def _matrix_json(label, m, layout):
+    """One element of "matrices", byte-identical to json.dumps(indent=2).
+
+    ``layout`` is ``_zero_layout(m.rows, m.cols)``.  The element is cut from
+    its text: each nonzero entry, in row-major order, replaces the '"0"' at
+    its offset, and the zeros between are copied as slices.
+    """
+    text, first, row_step = layout
+    cell_step = len(_ZERO) + 1
+    pieces = [
         f'\n    {{\n      "label": {encode_basestring_ascii(label)},'
         f'\n      "rows": {m.rows},\n      "cols": {m.cols},'
-        f'\n      "entries": {entries}\n    }}'
-    )
+        '\n      "entries": '
+    ]
+    start = 0
+    for (r, c), v in m.sorted_items():
+        at = first + r * row_step + c * cell_step
+        pieces += (text[start:at], encode_basestring_ascii(str(v)))
+        start = at + len('"0"')
+    pieces += (text[start:], "\n    }")
+    return "".join(pieces)
 
 
 def _emit_matrices(args, labeled, payload):
     """Write labeled matrices as triplets, or as ``payload`` plus "matrices".
 
     The JSON bytes are those of json.dumps(payload, indent=2) with the dense
-    "matrices" list as the last key.  Each matrix is encoded from its sparse
-    entries and written at once, so the document is never one string.
+    "matrices" list as the last key.  Each matrix is cut from the zero
+    layout of its shape, built once per shape, and written at once, so the
+    document is never one string.
     """
     if args.format == "json":
         out = sys.stdout  # looked up per call: callers redirect stdout
         head = json.dumps(payload, indent=2)[: -len("\n}")]
         out.write(head + ',\n  "matrices": [')
+        layouts = {}
         for k, (label, m) in enumerate(labeled):
-            out.write(("," if k else "") + _matrix_json(label, m))
+            shape = (m.rows, m.cols)
+            if shape not in layouts:
+                layouts[shape] = _zero_layout(*shape)
+            out.write(("," if k else "") + _matrix_json(label, m, layouts[shape]))
         out.write("\n  ]\n}\n" if labeled else "]\n}\n")
         return 0
     lines = []

@@ -316,6 +316,22 @@ def test_b_matrix_index_validation():
             b_matrix(ctx, *bad)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_b_matrix_matches_the_product_form(d):
+    # the definition built from sparse products, as b_matrix did before its
+    # one-pass kernel; the entry order is kept as well
+    _, ctx = hypercube(d)
+    a = cube_adjacency(ctx)
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            si, sj = alpha_star(ctx, i), alpha_star(ctx, j)
+            expected = si @ a @ sj - sj @ a @ si
+            b = b_matrix(ctx, i, j)
+            assert b == expected, (i, j)
+            assert list(b.entries) == list(expected.entries), (i, j)
+            assert all(type(v) is int for v in b.entries.values()), (i, j)
+
+
 # -- characterization -------------------------------------------------------------------
 
 

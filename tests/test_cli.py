@@ -8,7 +8,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractions import Fraction
@@ -152,12 +152,25 @@ _entry = st.one_of(
 _label = st.text(st.one_of(st.sampled_from('"\\/\u00e9\u20ac\n'), st.characters()))
 
 
+_shape = st.one_of(
+    st.tuples(st.integers(1, 5), st.integers(1, 6)),
+    st.tuples(st.just(1), st.integers(1, 9)),
+    st.tuples(st.integers(1, 9), st.just(1)),
+)
+
+
 @st.composite
 def labeled_matrices(draw):
+    # any number of the matrices may share one shape, so the writer reuses
+    # that shape's zero layout; an all-zero matrix is drawn on purpose
+    shared = draw(_shape)
     labeled = []
-    for _ in range(draw(st.integers(0, 3))):
-        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-        cells = draw(st.lists(_entry, min_size=rows * cols, max_size=rows * cols))
+    for _ in range(draw(st.integers(0, 4))):
+        rows, cols = draw(st.one_of(st.just(shared), _shape))
+        size = rows * cols
+        cells = draw(
+            st.one_of(st.lists(_entry, min_size=size, max_size=size), st.just([0] * size))
+        )
         m = ExactMatrix(rows, cols, {divmod(k, cols): v for k, v in enumerate(cells)})
         labeled.append((draw(_label), m))
     return labeled
@@ -165,6 +178,15 @@ def labeled_matrices(draw):
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(labeled_matrices(), _label)
+@example(
+    [
+        ("a", ExactMatrix(2, 3, {(0, 0): 5, (1, 2): Fraction(-1, 2)})),
+        ("b", ExactMatrix(2, 3)),
+        ("c", ExactMatrix(2, 3, {(1, 1): 7})),
+        ("d", ExactMatrix(3, 2, {(2, 1): 1})),
+    ],
+    "shared",
+)
 def test_json_matrices_match_the_indent_encoder(labeled, path):
     payload = {"source": {"type": "graph", "path": path}, "count": len(labeled)}
     document = dict(payload, matrices=[dense_matrix_payload(*lm) for lm in labeled])
