@@ -205,11 +205,11 @@ def b_matrix(ctx: HypercubeContext, i, j) -> ExactMatrix:
     if not 1 <= i < j <= ctx.d:
         raise ValueError(f"need 1 <= i < j <= {ctx.d}, got ({i}, {j})")
     a = cube_adjacency(ctx)
-    si = alpha_star(ctx, i)._diagonal_values().get
-    sj = alpha_star(ctx, j)._diagonal_values().get
+    si = alpha_star(ctx, i)._diagonal_values()
+    sj = alpha_star(ctx, j)._diagonal_values()
     ent = {}
     for (x, y), v in a.entries.items():
-        factor = si(x, 0) * sj(y, 0) - sj(x, 0) * si(y, 0)
+        factor = si[x] * sj[y] - sj[x] * si[y]
         if factor:
             ent[(x, y)] = v * factor
     return ExactMatrix._raw(ctx.n, ctx.n, ent)

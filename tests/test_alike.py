@@ -318,8 +318,8 @@ def test_b_matrix_index_validation():
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_b_matrix_matches_the_product_form(d):
-    # the definition built from sparse products, as b_matrix did before its
-    # one-pass kernel; the entry order is kept as well
+    # the definition as ExactMatrix products and a difference, which share
+    # nothing with b_matrix's one-pass kernel; the entry order must match too
     _, ctx = hypercube(d)
     a = cube_adjacency(ctx)
     for i in range(1, d + 1):
