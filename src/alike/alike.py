@@ -193,25 +193,22 @@ def closed_form_sym_basis(ctx: HypercubeContext) -> list[ExactMatrix]:
 def b_matrix(ctx: HypercubeContext, i, j) -> ExactMatrix:
     """b_ij = alpha_star_i A alpha_star_j - alpha_star_j A alpha_star_i.
 
-    With s = alpha_star, s_i and s_j are diagonal, so (s_i A s_j)[x, y] is
-    s_i[x] A[x, y] s_j[y], and entry (x, y) of b_ij is
-
-        A[x, y] (s_i[x] s_j[y] - s_j[x] s_i[y]).
-
-    That is one pass over the entries of A, in A's order, with no matrix
-    product.  The factor vanishes on every edge that flips neither bit i nor
-    bit j, and those zeros are dropped.
+    With s = alpha_star, s_i and s_j are diagonal, so entry (x, y) of b_ij is
+    A[x, y] (s_i[x] s_j[y] - s_j[x] s_i[y]).  That vanishes unless y flips
+    bit i or bit j of x.  For y = x ^ e_i, s_i[y] = -s_i[x] and s_j[y] =
+    s_j[x], so the entry is 2 s_i[x] s_j[x]; for y = x ^ e_j it is the
+    negative.  s_i[x] s_j[x] is +1 when bits i and j of x agree and -1
+    otherwise, so b_ij has exactly 2n nonzeros, each +-2, written here in
+    one pass over the vertices in the cube adjacency's entry order.
     """
     if not 1 <= i < j <= ctx.d:
         raise ValueError(f"need 1 <= i < j <= {ctx.d}, got ({i}, {j})")
-    a = cube_adjacency(ctx)
-    si = alpha_star(ctx, i)._diagonal_values()
-    sj = alpha_star(ctx, j)._diagonal_values()
+    bi, bj = ctx.bit(i), ctx.bit(j)
     ent = {}
-    for (x, y), v in a.entries.items():
-        factor = si[x] * sj[y] - sj[x] * si[y]
-        if factor:
-            ent[(x, y)] = v * factor
+    for x in range(ctx.n):
+        v = 2 if (not x & bi) == (not x & bj) else -2
+        ent[(x, x ^ bi)] = v
+        ent[(x, x ^ bj)] = -v
     return ExactMatrix._raw(ctx.n, ctx.n, ent)
 
 

@@ -319,7 +319,7 @@ def test_b_matrix_index_validation():
 @pytest.mark.parametrize("d", range(1, 7))
 def test_b_matrix_matches_the_product_form(d):
     # the definition as ExactMatrix products and a difference, which share
-    # nothing with b_matrix's one-pass kernel; the entry order must match too
+    # nothing with b_matrix's vertex loop; the entry order must match too
     _, ctx = hypercube(d)
     a = cube_adjacency(ctx)
     for i in range(1, d + 1):
@@ -330,6 +330,28 @@ def test_b_matrix_matches_the_product_form(d):
             assert b == expected, (i, j)
             assert list(b.entries) == list(expected.entries), (i, j)
             assert all(type(v) is int for v in b.entries.values()), (i, j)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_b_matrix_matches_the_entrywise_form(d):
+    # entry (x, y) is A[x, y] (s_i[x] s_j[y] - s_j[x] s_i[y]), read from the
+    # real adjacency and alpha_star diagonals that b_matrix no longer builds
+    _, ctx = hypercube(d)
+    a = cube_adjacency(ctx).entries
+    s = {i: alpha_star(ctx, i)._diagonal_values() for i in range(1, d + 1)}
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            si, sj = s[i], s[j]
+            expected = {}
+            for (x, y), v in a.items():
+                factor = si[x] * sj[y] - sj[x] * si[y]
+                if factor:
+                    expected[(x, y)] = v * factor
+            b = b_matrix(ctx, i, j)
+            assert (b.rows, b.cols) == (ctx.n, ctx.n)
+            assert b.entries == expected, (i, j)
+            assert len(b.entries) == 2 * ctx.n, (i, j)
+            assert all(type(v) is int and v in (2, -2) for v in b.entries.values())
 
 
 # -- characterization -------------------------------------------------------------------
