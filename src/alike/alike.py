@@ -113,7 +113,10 @@ def _solve_part(g: Graph, sign) -> SubspaceBasis:
     cells x < y (symmetric part) or x <= y (antisymmetric part) are needed.
     A term B[x, v] or B[v, y] of C[x, y] is an unknown only when v is x, y or
     a common neighbour of both, so C[x, y] is empty unless x and y are at
-    distance at most 2; only those cells are visited.
+    distance at most 2; only those cells are visited.  A row equal to an
+    earlier one up to sign is skipped: when the two diagonals of a 4-cycle
+    each have just the cycle's other two vertices as common neighbours, as
+    on the cube, their antisymmetric equations agree up to sign.
     """
     n = g.n
     cells = [[(x, x, 1)] for x in range(n)] if sign > 0 else []
@@ -121,6 +124,7 @@ def _solve_part(g: Graph, sign) -> SubspaceBasis:
     unknown = {(x, y): (k, c) for k, group in enumerate(cells) for x, y, c in group}
     ent = {}
     nrows = 0
+    seen = set()
     for x in range(n):
         near = {x}
         for v in g.neighbors(x):
@@ -128,17 +132,25 @@ def _solve_part(g: Graph, sign) -> SubspaceBasis:
             near.update(g.neighbors(v))
         for y in sorted(y for y in near if y >= x + (sign > 0)):
             # C[x, y] = sum over v ~ y of B[x, v] - sum over v ~ x of B[v, y]
-            terms = [((x, v), 1) for v in g.neighbors(y)]
-            terms += [((v, y), -1) for v in g.neighbors(x)]
             coeffs = {}
-            for cell, c in terms:
-                if hit := unknown.get(cell):
-                    k, ck = hit
-                    coeffs[k] = coeffs.get(k, 0) + c * ck
-            row = {k: c for k, c in coeffs.items() if c}
-            for k, c in row.items():
+            for v in g.neighbors(y):
+                if hit := unknown.get((x, v)):
+                    k, c = hit
+                    coeffs[k] = coeffs.get(k, 0) + c
+            for v in g.neighbors(x):
+                if hit := unknown.get((v, y)):
+                    k, c = hit
+                    coeffs[k] = coeffs.get(k, 0) - c
+            row = sorted((k, c) for k, c in coeffs.items() if c)
+            if not row:
+                continue
+            key = tuple(row) if row[0][1] > 0 else tuple((k, -c) for k, c in row)
+            if key in seen:
+                continue
+            seen.add(key)
+            for k, c in row:
                 ent[(nrows, k)] = c
-            nrows += bool(row)
+            nrows += 1
     kernel = nullspace(ExactMatrix._raw(max(nrows, 1), len(cells), ent))
     embedded = []
     for vec in kernel:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -42,8 +43,11 @@ from alike.hypercube import (
     cube_adjacency,
     eigen_data,
     hypercube,
+    load_graph,
     scaled_eigenvector,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def path_graph(n):
@@ -172,24 +176,71 @@ def random_graph(rng, n):
     return Graph(n, edges)
 
 
+def assert_parts_match_full_space_oracle(g):
+    decomposition = solve_alike(g)
+    oracle = full_space_oracle(g)
+    assert span_equal(decomposition.full, oracle)
+    assert decomposition.full.contains(vectorize(ExactMatrix.identity(g.n)))
+    assert decomposition.full.contains(vectorize(adjacency(g)))
+    # the solver builds each part from its own system; the oracle uses no
+    # symmetry, so split its span by B +- B^T
+    mats = [unvectorize(v, g.n, g.n) for v in oracle]
+    sym = SubspaceBasis.from_matrices([b + b.transpose() for b in mats])
+    antisym = SubspaceBasis.from_matrices([b - b.transpose() for b in mats])
+    assert span_equal(decomposition.symmetric, sym)
+    assert span_equal(decomposition.antisymmetric, antisym)
+    full, sym_dim, antisym_dim = decomposition.dims
+    assert full == sym_dim + antisym_dim
+
+
 def test_solver_matches_full_space_oracle_on_random_graphs():
     rng = random.Random("oracle")
     for _ in range(12):
-        g = random_graph(rng, rng.randint(2, 8))
-        decomposition = solve_alike(g)
-        oracle = full_space_oracle(g)
-        assert span_equal(decomposition.full, oracle)
-        assert decomposition.full.contains(vectorize(ExactMatrix.identity(g.n)))
-        assert decomposition.full.contains(vectorize(adjacency(g)))
-        # the solver builds each part from its own system; the oracle uses no
-        # symmetry, so split its span by B +- B^T
-        mats = [unvectorize(v, g.n, g.n) for v in oracle]
-        sym = SubspaceBasis.from_matrices([b + b.transpose() for b in mats])
-        antisym = SubspaceBasis.from_matrices([b - b.transpose() for b in mats])
-        assert span_equal(decomposition.symmetric, sym)
-        assert span_equal(decomposition.antisymmetric, antisym)
-        full, sym_dim, antisym_dim = decomposition.dims
-        assert full == sym_dim + antisym_dim
+        assert_parts_match_full_space_oracle(random_graph(rng, rng.randint(2, 8)))
+
+
+def random_regular_graph(rng, n, k):
+    # C_n(1..k/2) plus the diameters when k is odd, then degree-keeping swaps
+    edges = {
+        (min(x, (x + s) % n), max(x, (x + s) % n))
+        for x in range(n)
+        for s in list(range(1, k // 2 + 1)) + [n // 2] * (k % 2)
+    }
+    for _ in range(20 * n):
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        ad, cb = (min(a, d), max(a, d)), (min(c, b), max(c, b))
+        if len({a, b, c, d}) == 4 and ad not in edges and cb not in edges:
+            edges -= {(a, b), (c, d)}
+            edges |= {ad, cb}
+    return Graph(n, sorted(edges))
+
+
+SOLVER_ORACLE_GRAPHS = {
+    **{f"Q{d}": (lambda d=d: hypercube(d)[0]) for d in range(1, 7)},
+    "petersen": lambda: load_graph(GOLDEN / "petersen.json"),
+    "C10(1,3)": lambda: load_graph(GOLDEN / "c10-1-3.json"),
+    "regular-12-3": lambda: random_regular_graph(random.Random("dedup-a"), 12, 3),
+    "regular-16-4": lambda: random_regular_graph(random.Random("dedup-b"), 16, 4),
+}
+
+
+@pytest.mark.parametrize("name", SOLVER_ORACLE_GRAPHS)
+def test_solver_matches_full_space_oracle_on_graphs_with_repeated_rows(name):
+    # the oracle keeps every row; the solver skips rows repeated up to sign:
+    # many on the cubes, a few on the random graphs, none on the other two
+    assert_parts_match_full_space_oracle(SOLVER_ORACLE_GRAPHS[name]())
+
+
+def test_q6_antisymmetric_system_has_one_row_per_distinct_equation(monkeypatch):
+    # each 4-cycle's two diagonals give one antisymmetric equation up to
+    # sign; the symmetric rows are all distinct
+    rows = []
+    original = alike_module.nullspace
+    monkeypatch.setattr(
+        alike_module, "nullspace", lambda m: rows.append(m.rows) or original(m)
+    )
+    solve_alike(hypercube(6)[0])
+    assert rows == [672, 304]
 
 
 def test_disconnected_graph_is_solved_without_complaint():
