@@ -36,7 +36,6 @@ from .exactlinalg import (
     unvectorize,
 )
 from .hypercube import (
-    DEFAULT_PROJECTOR_CAP,
     Graph,
     HypercubeContext,
     adjacency,
@@ -684,12 +683,6 @@ def _group_restriction(check, ctx, g, rng):
         check.require(spanning, "restrictions do not span the antisymmetric space")
 
 
-def _skip_projectors(ctx, g, brute_cap):
-    if ctx.d > DEFAULT_PROJECTOR_CAP:
-        return f"dense projectors capped at d<={DEFAULT_PROJECTOR_CAP}"
-    return None
-
-
 def _skip_solver(ctx, g, brute_cap):
     if g.n > brute_cap:
         return f"brute-force solver capped at {brute_cap} vertices"
@@ -705,7 +698,7 @@ GROUPS = {
     "eigenbasis": (_group_eigenbasis, None),
     "idempotents": (
         lambda check, ctx, g, rng: idempotent_report(check, ctx, eigen_data(ctx)),
-        _skip_projectors,
+        None,
     ),
     "characterization": (_group_characterization, None),
     "sym_basis": (_group_sym_basis, None),

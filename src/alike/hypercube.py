@@ -5,27 +5,22 @@ vertex x is bit i-1, and two vertices are adjacent iff they differ in exactly
 one bit.  This module builds the coordinate-flip permutations alpha_i, the
 coordinate-sign diagonals alpha_star_i, their 2x2 Kronecker factors, the +-1
 character eigenvectors, and the spectral projectors of the adjacency matrix.
-It also reads small graphs from JSON.
+Each projector E_i is one integer row r_i with 2^d E_i[x, y] = r_i[x ^ y],
+built from Krawtchouk numbers; its identities are checked on the rows, a
+product through a fast Walsh-Hadamard transform.  It also reads small graphs
+from JSON.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
 from typing import NamedTuple
 
-from .exactlinalg import (
-    CapExceeded,
-    ExactMatrix,
-    ExactVector,
-    exact_quotient,
-    kron,
-)
+from .exactlinalg import CapExceeded, ExactMatrix, ExactVector, kron
 
 DEFAULT_CONSTRUCTION_CAP = 12
-DEFAULT_PROJECTOR_CAP = 8
 #: Largest graph file `load_graph` parses; a longer one is rejected unread.
 MAX_GRAPH_FILE_BYTES = 16 * 2**20
 
@@ -150,13 +145,6 @@ class HypercubeContext(_CubeDimension):
     def coords_of(self, mask):
         return tuple(i for i in range(1, self.d + 1) if mask >> (i - 1) & 1)
 
-    def subset_masks(self, size):
-        """All coordinate subsets of the given size, as masks."""
-        return (
-            self.mask_of(combo)
-            for combo in itertools.combinations(range(1, self.d + 1), size)
-        )
-
 
 def hypercube(d, cap=DEFAULT_CONSTRUCTION_CAP):
     """The d-cube as (Graph, HypercubeContext)."""
@@ -259,7 +247,7 @@ def scaled_eigenvector(ctx: HypercubeContext, s) -> ScaledEigenvector:
 class EigenItem(NamedTuple):
     theta: int
     multiplicity: int
-    idempotent: ExactMatrix
+    row: list  # n ints r with 2^d E[x, y] = r[x ^ y] for the projector E
 
 
 class EigenData(NamedTuple):
@@ -268,78 +256,76 @@ class EigenData(NamedTuple):
 
 
 def eigen_data(ctx: HypercubeContext) -> EigenData:
-    """Eigenvalues d-2i, multiplicities C(d, i), and spectral projectors.
+    """Eigenvalues d-2i, multiplicities C(d, i), and spectral projector rows.
 
     The projector for eigenvalue d-2i is 2^-d times the sum of W_S W_S^T over
     the weight-i sign vectors.  Entry (x, y) of W_S W_S^T is
-    (-1)^popcount(S & (x ^ y)), so the projector is a function of x ^ y: its
-    entry is k[x ^ y] / 2^d, where k[w] sums (-1)^popcount(S & w) over the
-    weight-i subsets S.  Entries with the same x ^ y share one scalar object.
+    (-1)^popcount(S & (x ^ y)), so 2^d E_i[x, y] = r_i[x ^ y], where r_i[w]
+    sums (-1)^popcount(S & w) over the weight-i subsets S.  That sum depends
+    on w only through k = popcount(w): it is the Krawtchouk number
+    K_i(k) = sum_j (-1)^j C(k, j) C(d-k, i-j), so each row costs O(n).
     """
-    if ctx.d > DEFAULT_PROJECTOR_CAP:
-        raise CapExceeded(
-            f"dense spectral projectors capped at d<={DEFAULT_PROJECTOR_CAP}, "
-            f"got d={ctx.d}"
-        )
-    n = ctx.n
+    d, n = ctx.d, ctx.n
+    weights = [w.bit_count() for w in range(n)]
     items = []
-    for i in range(ctx.d + 1):
-        masks = list(ctx.subset_masks(i))
-        row = [
-            exact_quotient(sum(-1 if (s & w).bit_count() & 1 else 1 for s in masks), n)
-            for w in range(n)
+    for i in range(d + 1):
+        kraw = [  # K_i(k), the row's entry at every w of weight k
+            sum(
+                (-1) ** j * math.comb(k, j) * math.comb(d - k, i - j)
+                for j in range(i + 1)
+            )
+            for k in range(d + 1)
         ]
-        e = ExactMatrix._raw(n, n, _spread(row))
-        items.append(EigenItem(ctx.d - 2 * i, math.comb(ctx.d, i), e))
-    return EigenData(ctx.d, tuple(items))
+        row = [kraw[k] for k in weights]
+        items.append(EigenItem(d - 2 * i, math.comb(d, i), row))
+    return EigenData(d, tuple(items))
 
 
-def _spread(row):
-    """Entry dict of the matrix with (x, y) entry row[x ^ y]; zeros left out."""
-    nonzero = [(w, v) for w, v in enumerate(row) if v]
-    return {(x, x ^ w): v for x in range(len(row)) for w, v in nonzero}
+def walsh_hadamard(row):
+    """H r for H[s, w] = (-1)^popcount(s & w), in d * n additions for n = 2^d.
 
-
-def _scaled_row(matrix):
-    """n * matrix[0, w] for w < n = matrix.rows, as ints; None if one is not."""
-    n = matrix.rows
-    row = []
-    for w in range(n):
-        v = matrix.entries.get((0, w), 0)
-        q, r = divmod(n * v.numerator, v.denominator)
-        if r:
-            return None
-        row.append(q)
-    return row
+    The fast transform of Fino and Algazi (1976), one butterfly pass per bit.
+    H H = n I, and H maps the XOR convolution of two rows to their product.
+    """
+    n = len(row)
+    h = list(row)
+    step = 1
+    while step < n:
+        out = []
+        for start in range(0, n, 2 * step):
+            lo, hi = h[start : start + step], h[start + step : start + 2 * step]
+            out += map(operator.add, lo, hi)
+            out += map(operator.sub, lo, hi)
+        h = out
+        step *= 2
+    return h
 
 
 def _is_xor_function(matrix):
     """True if matrix[x, y] == matrix[0, x ^ y] for every x, y < matrix.rows."""
-    first = [matrix.entries.get((0, w), 0) for w in range(matrix.rows)]
-    # dict equality also compares the entry counts, and it is cheap when each
-    # x ^ y class stores one scalar object, as eigen_data does
-    return matrix.entries == _spread(first)
+    n = matrix.rows
+    first = [(w, v) for w in range(n) if (v := matrix.entries.get((0, w), 0))]
+    return matrix.entries == {(x, x ^ w): v for x in range(n) for w, v in first}
 
 
 def idempotent_report(check, ctx: HypercubeContext, data: EigenData):
     """Exact verification of the spectral projector identities.
 
-    Checks symmetry, pairwise products E_i E_j = delta_ij E_i, sum to the
-    identity, eigenvalue-weighted sum to the adjacency matrix, the all-ones
-    form of E_0, ranks C(d, i), and the eigenvalue/multiplicity tables.
-    Each projector is first reduced to the integer row r with
-    2^d E[x, y] = r[x ^ y] (it fails uncounted if it has none), so the
-    identities are checked on rows in the group algebra of Z_2^d: a product
-    of two such matrices has the XOR convolution of their rows as its row.
-    Each rank is read as a trace: once E_i E_i = E_i is proved, rank(E_i)
-    equals the trace, which is 2^d E_i[0, 0] = r_i[0].
+    Checks the eigenvalue/multiplicity tables, pairwise products
+    E_i E_j = delta_ij E_i, sum to the identity, eigenvalue-weighted sum to
+    the adjacency matrix, the all-ones form of E_0, ranks C(d, i), and each
+    spectrum, all on the integer rows r_i with 2^d E_i[x, y] = r_i[x ^ y].
+    A product of two such matrices has the XOR convolution of their rows as
+    its row, so with h_i = H r_i (``walsh_hadamard``) and H H = n I it reads
+    h_i * h_j == delta_ij n h_i pointwise.  Once E_i E_i = E_i is proved,
+    rank(E_i) is the trace 2^d E_i[0, 0] = r_i[0].  Last, h_i must be n on
+    the weight-i masks and 0 elsewhere.
     A check-group routine: ``check`` (an ``alike.GroupResult``) counts each
     identity and stops at the first that fails; shapes fail uncounted.
     """
     d, n = ctx.d, ctx.n
     if data.d != d or len(data.items) != d + 1:
         check.fail("eigen data has the wrong shape")
-    rows = []
     for i, item in enumerate(data.items):
         check.require(
             item.theta == d - 2 * i, "eigenvalue table wrong at i={}: {}", i, item.theta
@@ -347,25 +333,16 @@ def idempotent_report(check, ctx: HypercubeContext, data: EigenData):
         check.require(
             item.multiplicity == math.comb(d, i), "multiplicity table wrong at i={}", i
         )
-        e = item.idempotent
-        if e.rows != n or e.cols != n:
-            check.fail(f"projector {i} has shape {e.rows}x{e.cols}")
-        row = _scaled_row(e)
-        if row is None:
-            check.fail(f"projector {i} entries not multiples of 1/2^d")
-        rows.append(row)
-    for i, item in enumerate(data.items):
-        e = item.idempotent
-        check.require(e.is_symmetric(), "projector {} is not symmetric", i)
-        if not _is_xor_function(e):
-            check.fail(f"projector {i} is not a function of x ^ y")
-    # at_xor[w](r) lists r[u ^ w] for u < n, so row w of the product of the
-    # matrices with rows a and b is sum_u a[u] * b[u ^ w]
-    at_xor = [operator.itemgetter(*(u ^ w for u in range(n))) for w in range(n)]
-    for i, a in enumerate(rows):
-        for j, b in enumerate(rows):
-            prod = [sum(map(operator.mul, a, get(b))) for get in at_xor]
-            expect = [n * v for v in a] if i == j else [0] * n
+        if len(item.row) != n:
+            check.fail(f"projector {i} row has length {len(item.row)}, not {n}")
+    rows = [item.row for item in data.items]
+    spectra = [walsh_hadamard(row) for row in rows]
+    zero = [0] * n
+    for i, a in enumerate(spectra):
+        scaled = [n * v for v in a]
+        for j, b in enumerate(spectra):
+            prod = list(map(operator.mul, a, b))
+            expect = scaled if i == j else zero
             check.require(prod == expect, "projector product ({},{}) is wrong", i, j)
     check.require(
         [sum(col) for col in zip(*rows)] == [n] + [0] * (n - 1),
@@ -373,8 +350,9 @@ def idempotent_report(check, ctx: HypercubeContext, data: EigenData):
     )
     weighted = [sum((d - 2 * i) * r for i, r in enumerate(col)) for col in zip(*rows)]
     adj = cube_adjacency(ctx)
+    adj_row = [n * adj.entries.get((0, w), 0) for w in range(n)]
     check.require(
-        _is_xor_function(adj) and weighted == _scaled_row(adj),
+        _is_xor_function(adj) and weighted == adj_row,
         "eigenvalue-weighted projector sum is not the adjacency",
     )
     check.require(rows[0] == [1] * n, "E_0 is not the normalized all-ones matrix")
@@ -382,3 +360,7 @@ def idempotent_report(check, ctx: HypercubeContext, data: EigenData):
         check.require(
             row[0] == math.comb(d, i), "projector {0} has rank != C(d,{0})", i
         )
+    weights = [s.bit_count() for s in range(n)]
+    for i, h in enumerate(spectra):
+        expect = [n if k == i else 0 for k in weights]
+        check.require(h == expect, "projector {} has the wrong spectrum", i)

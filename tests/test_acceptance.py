@@ -103,14 +103,16 @@ def test_criterion_3_identity_suite_to_d10():
         assert time.time() - start < 300
 
 
-def test_criterion_4_idempotent_suite_to_d8():
-    with criterion(4, "spectral projector suite D=1..8"):
-        for d in range(1, 9):
+def test_criterion_4_idempotent_suite_to_d10():
+    with criterion(4, "spectral projector suite D=1..10"):
+        start = time.time()
+        for d in range(1, 11):
             _, ctx = hypercube(d)
             result = GroupResult("idempotents")
             result.run(idempotent_report, ctx, eigen_data(ctx))
             assert result.passed, f"D={d}: {result.witness}"
-            assert result.checks >= (d + 1) ** 2 + 3 * (d + 1) + 3
+            assert result.checks == (d + 1) ** 2 + 4 * (d + 1) + 3
+        assert time.time() - start < 2
 
 
 def test_criterion_5_characterization_property():

@@ -623,12 +623,15 @@ def test_verify_all_brute_alias():
 
 
 def test_verify_all_skips_capped_groups():
+    # only the solver has a size cap: the projector checks run at any d
     _, ctx = hypercube(9, cap=9)
     report = verify_all(ctx, groups=["idempotents", "dimensions"], seed=0)
-    assert not report.all_passed  # every group was skipped: nothing was checked
-    for group in report.groups:
-        assert group.skipped
-        assert group.reason
+    dimensions = report.group("dimensions")
+    assert dimensions.skipped and dimensions.reason
+    idempotents = report.group("idempotents")
+    assert not idempotents.skipped and idempotents.passed
+    assert idempotents.checks == 143
+    assert report.all_passed
 
 
 def test_verify_all_rejects_an_empty_selection():
@@ -805,6 +808,7 @@ def test_scalar_types_are_canonical(d):
         *bs,
         *(scaled_eigenvector(ctx, mask).vec for mask in range(ctx.n)),
     )
+    integral += [v for item in eigen_data(ctx).items for v in item.row]
     assert {type(v) for v in integral} == {int}
 
     third = cube_adjacency(ctx).scale(Fraction(1, 3))
@@ -815,7 +819,6 @@ def test_scalar_types_are_canonical(d):
         [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)] for _ in range(3)]
     )
     exact = _entries(
-        *(item.idempotent for item in eigen_data(ctx).items),
         *(restriction_to_E1(ctx, b) for b in bs),
         restricted,
         *nullspace(rational),

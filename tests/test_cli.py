@@ -253,6 +253,16 @@ def test_verify_q5_with_skips_passes(capsys):
     assert len(data["groups"]) == 6
 
 
+def test_verify_runs_the_projector_checks_at_d10(capsys):
+    others = ",".join(name for name in GROUP_NAMES if name != "idempotents")
+    code, data, _ = run_json(capsys, "verify", "--hypercube", "10", "--skip", others)
+    assert code == 0
+    [group] = data["groups"]
+    assert group["name"] == "idempotents"
+    assert group["passed"] is True and group["skipped"] is False
+    assert group["checks"] == 168
+
+
 def test_verify_honours_cap_bruteforce(capsys):
     code, data, _ = run_json(
         capsys, "verify", "--hypercube", "3", "--cap-bruteforce", "4"

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from alike.hypercube import (
     idempotent_report,
     load_graph,
     scaled_eigenvector,
+    walsh_hadamard,
 )
 
 
@@ -70,7 +72,6 @@ def test_context_encoding():
     assert ctx.n == 8
     assert ctx.mask_of([1, 3]) == 0b101
     assert ctx.coords_of(0b101) == (1, 3)
-    assert list(ctx.subset_masks(2)) == [0b011, 0b101, 0b110]
     with pytest.raises(ValueError):
         ctx.bit(4)
     with pytest.raises(ValueError):
@@ -84,7 +85,7 @@ def test_cube_records_reject_assignment():
         (ctx, "d"),
         (scaled_eigenvector(ctx, 1), "vec"),
         (data, "items"),
-        (data.items[0], "idempotent"),
+        (data.items[0], "row"),
     ]
     for record, name in records:
         with pytest.raises(AttributeError):
@@ -206,9 +207,21 @@ def test_scaled_eigenvector_accepts_coordinate_iterables():
 # -- spectral projectors ----------------------------------------------------------
 
 
+def _projector_oracle(ctx, i):
+    """E_i as the sum of W_S W_S^T / n over the weight-i masks, by dense products."""
+    n = ctx.n
+    total = ExactMatrix.zeros(n)
+    for s in range(n):
+        if s.bit_count() == i:
+            vec = scaled_eigenvector(ctx, s).vec
+            column = ExactMatrix.from_rows([[vec[x]] for x in range(n)])
+            total = total + column @ column.transpose()
+    return total.scale(Fraction(1, n))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_eigen_data_dense_oracle(d):
-    # dense ExactMatrix products, independent of the report's XOR convolution
+    # dense ExactMatrix products, independent of the report's row algebra
     g, ctx = hypercube(d)
     n = ctx.n
     data = eigen_data(ctx)
@@ -216,19 +229,54 @@ def test_eigen_data_dense_oracle(d):
     assert [item.multiplicity for item in data.items] == [
         math.comb(d, i) for i in range(d + 1)
     ]
-    assert data.items[0].idempotent == ExactMatrix.ones(n).scale(Fraction(1, n))
+    oracle = [_projector_oracle(ctx, i) for i in range(d + 1)]
+    for item, e in zip(data.items, oracle):
+        spread = {(x, y): Fraction(item.row[x ^ y], n) for x in range(n) for y in range(n)}
+        assert e == ExactMatrix(n, n, spread)
+    assert oracle[0] == ExactMatrix.ones(n).scale(Fraction(1, n))
     ident = ExactMatrix.zeros(n)
     weighted = ExactMatrix.zeros(n)
-    for item in data.items:
-        ident = ident + item.idempotent
-        weighted = weighted + item.idempotent.scale(item.theta)
+    for item, e in zip(data.items, oracle):
+        ident = ident + e
+        weighted = weighted + e.scale(item.theta)
     assert ident == ExactMatrix.identity(n)
     assert weighted == adjacency(g)
-    for i, item in enumerate(data.items):
-        assert rank(item.idempotent) == item.multiplicity
-        for j, other in enumerate(data.items):
-            product = item.idempotent @ other.idempotent
-            assert product == (item.idempotent if i == j else ExactMatrix.zeros(n))
+    for i, (item, e) in enumerate(zip(data.items, oracle)):
+        assert rank(e) == item.multiplicity
+        for j, other in enumerate(oracle):
+            assert e @ other == (e if i == j else ExactMatrix.zeros(n))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_eigen_data_rows_match_the_popcount_sum(d):
+    # r_i[w] = sum over weight-i S of (-1)^popcount(S & w), term by term
+    _, ctx = hypercube(d)
+    for i, item in enumerate(eigen_data(ctx).items):
+        masks = [s for s in range(ctx.n) if s.bit_count() == i]
+        assert item.row == [
+            sum(-1 if (s & w).bit_count() & 1 else 1 for s in masks)
+            for w in range(ctx.n)
+        ]
+
+
+def _xor_convolution(a, b):
+    return [sum(a[u] * b[u ^ w] for u in range(len(a))) for w in range(len(a))]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_walsh_hadamard_matches_the_direct_oracles(d):
+    n = 1 << d
+    rng = random.Random(f"walsh-hadamard:{d}")
+    for _ in range(3):
+        a = [rng.randint(-9, 9) for _ in range(n)]
+        b = [rng.randint(-9, 9) for _ in range(n)]
+        ha, hb = walsh_hadamard(a), walsh_hadamard(b)
+        assert ha == [
+            sum(-v if (s & w).bit_count() & 1 else v for w, v in enumerate(a))
+            for s in range(n)
+        ]
+        assert walsh_hadamard(_xor_convolution(a, b)) == [x * y for x, y in zip(ha, hb)]
+        assert walsh_hadamard(ha) == [n * v for v in a]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -241,46 +289,36 @@ def test_idempotent_report_passes(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_projector_rank_equals_trace(d):
-    # idempotent_report reads each rank as a trace; exact elimination agrees
+    # idempotent_report reads each rank as the trace r_i[0]; exact elimination agrees
     _, ctx = hypercube(d)
     for i, item in enumerate(eigen_data(ctx).items):
-        e = item.idempotent
-        diagonal = sum(e.entries.get((x, x), 0) for x in range(ctx.n))
-        assert rank(e) == diagonal == math.comb(d, i)
+        e = _projector_oracle(ctx, i)
+        assert rank(e) == e.trace() == item.row[0] == math.comb(d, i)
 
 
 def test_idempotent_report_catches_corruption():
-    # d=2 with E_1 replaced; each case pins (passed, checks, witness)
+    # d=2 with projector rows replaced; each case pins (passed, checks, witness)
     _, ctx = hypercube(2)
     data = eigen_data(ctx)
-    e1 = data.items[1].idempotent
+    r1, r2 = data.items[1].row, data.items[2].row
     cases = [
+        ({1: [r1[0] + 1, *r1[1:]]}, (False, 7, "projector product (0,1) is wrong")),
+        ({1: [2 * v for v in r1]}, (False, 10, "projector product (1,1) is wrong")),
+        ({1: [0] * 4}, (False, 15, "projectors do not sum to the identity")),
         (
-            e1 + ExactMatrix.ones(4).scale(Fraction(1, 8)),
-            (False, 4, "projector 1 entries not multiples of 1/2^d"),
+            {1: r2, 2: r1},
+            (False, 16, "eigenvalue-weighted projector sum is not the adjacency"),
         ),
-        (e1.scale(2), (False, 13, "projector product (1,1) is wrong")),
-        (
-            e1 + ExactMatrix(4, 4, {(0, 0): Fraction(1, 4)}),
-            (False, 8, "projector 1 is not a function of x ^ y"),
-        ),
-        (
-            e1 + ExactMatrix(4, 4, {(0, 1): Fraction(1, 4)}),
-            (False, 7, "projector 1 is not symmetric"),
-        ),
+        # a shape failure counts no check: 4 is the table checks of E_0 and E_1
+        ({1: r1[:3]}, (False, 4, "projector 1 row has length 3, not 4")),
     ]
-    for bad, expected in cases:
+    for rows, expected in cases:
         items = list(data.items)
-        items[1] = items[1]._replace(idempotent=bad)
+        for i, row in rows.items():
+            items[i] = items[i]._replace(row=row)
         corrupted = data._replace(items=tuple(items))
         result = GroupResult("idempotents").run(idempotent_report, ctx, corrupted)
         assert (result.passed, result.checks, result.witness) == expected
-
-
-def test_eigen_data_cap():
-    _, ctx = hypercube(9, cap=9)
-    with pytest.raises(CapExceeded):
-        eigen_data(ctx)
 
 
 # -- graph ingestion ---------------------------------------------------------------
