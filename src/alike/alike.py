@@ -400,44 +400,36 @@ def _random_fraction(rng):
     return exact_quotient(rng.randint(-6, 6), rng.randint(1, 3))
 
 
-def _random_nonzero_fraction(rng):
-    num = rng.randint(1, 6) * rng.choice((-1, 1))
-    return exact_quotient(num, rng.randint(1, 3))
-
-
 def _random_support_matrix(n, positions, rng):
     ent = {pos: value for pos in positions if (value := _random_fraction(rng))}
     return ExactMatrix._raw(n, n, ent)
 
 
-def _residual_factor(stars, i, j, x, y):
-    """Entry (x, y) of the (i, j) residual divided by B[x, y]."""
-    return (stars[i][x, x] - stars[i][y, y]) * (stars[j][x, x] - stars[j][y, y])
+def _residual_factor(ctx, i, j, x, y):
+    """Entry (x, y) of the (i, j) residual divided by B[x, y], from the bits.
 
-
-def _close_columns(g, x):
-    """The columns y of row x for which (x, y) is not a distant pair.
-
-    A distant pair differs in at least two coordinates, so a residual pair
-    exists for it, and is not an edge of g.  The rest of row x is x itself,
-    its neighbours in g, and x with one bit flipped.
+    It is 4 s_i[x] s_j[x] when x and y differ in both coordinates, else 0.
     """
-    flips = (x ^ (1 << b) for b in range(g.n.bit_length()))
-    return {x, *g.neighbors(x), *(y for y in flips if y < g.n)}
+    bi, bj = ctx.bit(i), ctx.bit(j)
+    if (x ^ y) & bi and (x ^ y) & bj:
+        return 4 if (not x & bi) == (not x & bj) else -4
+    return 0
 
 
-def _distant_counts(g):
-    """Number of distant pairs (x, y) in each row x, without listing them."""
-    return [g.n - len(_close_columns(g, x)) for x in range(g.n)]
+def _distant_pair_draws(g, rng):
+    """Uniform draws of the distant pairs of g by rejection; none if it has none.
 
+    A distant pair (x, y) differs in at least two coordinates, so a residual
+    pair exists for it, and is not an edge of g.
+    """
+    def distant(x, y):
+        return (x ^ y).bit_count() >= 2 and not g.has_edge(x, y)
 
-def _distant_pair(g, counts, k):
-    """The k-th distant pair in row-major order, ``counts`` from _distant_counts."""
-    for x, count in enumerate(counts):
-        if k < count:
-            close = _close_columns(g, x)
-            return x, [y for y in range(g.n) if y not in close][k]
-        k -= count
+    if any(distant(x, y) for x in range(g.n) for y in range(g.n)):
+        while True:
+            x, y = rng.randrange(g.n), rng.randrange(g.n)
+            if distant(x, y):
+                yield x, y
 
 
 def characterization_cases(check, ctx, g, rng, cases):
@@ -446,7 +438,8 @@ def characterization_cases(check, ctx, g, rng, cases):
     Direction one: matrices supported inside {equal or adjacent} have zero
     residual for every pair i < j.  Direction two: planting one entry at a
     distant pair makes the residual for a pair of differing coordinates
-    nonzero at exactly that entry.  Draws ``cases`` matrices per direction.
+    nonzero at exactly that entry.  Draws ``cases`` matrices per direction;
+    the planted pairs are drawn uniformly by rejection.
     """
     positions = support_positions(g)
     pairs = coordinate_pairs(ctx.d)
@@ -458,21 +451,17 @@ def characterization_cases(check, ctx, g, rng, cases):
                 not residual.entries,
                 "supported case {}: residual ({},{}) is nonzero", case, i, j
             )
-    counts = _distant_counts(g)
-    total = sum(counts)
-    if not (total and pairs):
+    if not pairs:
         return
-    stars = {i: alpha_star(ctx, i) for i in range(1, ctx.d + 1)}
-    for case in range(cases):
-        # randrange(total) draws as rng.choice would from the row-major list
-        # of every distant pair, so the seeded cases stay fixed
-        x, y = _distant_pair(g, counts, rng.randrange(total))
-        planted = _random_nonzero_fraction(rng)
+    for case, (x, y) in zip(range(cases), _distant_pair_draws(g, rng)):
+        planted = 0
+        while not planted:
+            planted = _random_fraction(rng)
         b = _random_support_matrix(g.n, positions, rng)
         b = ExactMatrix._raw(g.n, g.n, {**b.entries, (x, y): planted})
         i, j = ctx.coords_of(x ^ y)[:2]
         got = characterization_residual(ctx, b, i, j)[x, y]
-        expect = _residual_factor(stars, i, j, x, y) * planted
+        expect = _residual_factor(ctx, i, j, x, y) * planted
         check.require(
             expect != 0 and got == expect,
             "planted case {}: residual ({},{}) at {} is {}, expected {}",
@@ -550,24 +539,19 @@ def _group_characterization(check, ctx, g, rng):
     characterization_cases(check, ctx, g, rng, cases)
     # residual route vs entrywise product formula, on unrestricted matrices
     n = ctx.n
-    stars = {i: alpha_star(ctx, i) for i in range(1, ctx.d + 1)}
     pairs = coordinate_pairs(ctx.d)
     exhaustive = ctx.d <= _CHAR_EXHAUSTIVE_D
     # above the cap: a sample of pairs per matrix, and no b_pq block
     check.sampled = not exhaustive
     for _ in range(5):
-        ent = {}
-        for _ in range(3 * n):
-            x, y, value = rng.randrange(n), rng.randrange(n), _random_fraction(rng)
-            if value:
-                ent[(x, y)] = value
-        b = ExactMatrix._raw(n, n, ent)
+        cells = ((rng.randrange(n), rng.randrange(n)) for _ in range(3 * n))
+        b = _random_support_matrix(n, cells, rng)
         chosen = pairs if exhaustive else rng.sample(pairs, _CHAR_SAMPLE)
         for i, j in chosen:
             residual = characterization_residual(ctx, b, i, j)
             formula = {}
             for (x, y), value in b.entries.items():
-                product = _residual_factor(stars, i, j, x, y) * value
+                product = _residual_factor(ctx, i, j, x, y) * value
                 if product:
                     formula[(x, y)] = product
             check.require(

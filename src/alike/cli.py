@@ -31,6 +31,7 @@ from .alike import (
     solve_alike,
     verify_all,
 )
+from .exactlinalg import span_equal
 from .hypercube import DEFAULT_CONSTRUCTION_CAP, hypercube, load_graph
 
 PARTS = ("full", "sym", "antisym")
@@ -246,7 +247,7 @@ def cmd_compare(args):
     solved = solve_alike(graph, cap=args.cap_bruteforce).parts
     closed = closed_form_spans(ctx)
     payload = {"d": ctx.d, "vertices": ctx.n}
-    payload.update({part: solved[part] == closed[part] for part in PARTS})
+    payload.update({part: span_equal(solved[part], closed[part]) for part in PARTS})
     payload["all_equal"] = all(payload[part] for part in PARTS)
     _emit(payload)
     return 0 if payload["all_equal"] else 1

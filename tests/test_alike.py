@@ -1,4 +1,8 @@
+import ast
+import itertools
+import math
 import random
+import string
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,8 +13,7 @@ from alike.alike import (
     AlikeCheck,
     GroupResult,
     VerificationReport,
-    _distant_counts,
-    _distant_pair,
+    _distant_pair_draws,
     _random_support_matrix,
     b_matrix,
     bij_action_on_wS,
@@ -472,7 +475,7 @@ def test_characterization_case_runner_counts():
 
 
 def _distant_pairs_oracle(g):
-    """Every distant pair, row-major: the list the draws used to be taken from."""
+    """Every distant pair, row-major: the set the planted pairs are drawn from."""
     return [
         (x, y)
         for x in range(g.n)
@@ -491,26 +494,65 @@ def _graphs_for_distant_pairs():
         "q4-plus-edges-at-distance-2-and-3": Graph(16, q4 + [(0, 3), (1, 12)]),
         "q6-plus-an-edge-at-distance-6": Graph(64, q6 + [(5, 58)]),
         "p6": path_graph(6),  # n is not a power of two
+        "k4": Graph(4, list(itertools.combinations(range(4), 2))),
     }
 
 
 DISTANT_PAIR_GRAPHS = _graphs_for_distant_pairs()
 
 
+def _draws(g, seed, count=200):
+    return list(itertools.islice(_distant_pair_draws(g, random.Random(seed)), count))
+
+
 @pytest.mark.parametrize("name", DISTANT_PAIR_GRAPHS)
 def test_distant_pairs_match_the_list_oracle(name):
+    # every seeded draw is a distant pair, and a seed always gives the same draws
     g = DISTANT_PAIR_GRAPHS[name]
-    oracle = _distant_pairs_oracle(g)
-    counts = _distant_counts(g)
-    assert sum(counts) == len(oracle)
-    assert [_distant_pair(g, counts, k) for k in range(len(oracle))] == oracle
-    # randrange(len) and choice consume the stream alike, so the draws match
+    oracle = set(_distant_pairs_oracle(g))
     for seed in range(5):
-        by_index, by_choice = random.Random(seed), random.Random(seed)
-        if oracle:
-            drawn = _distant_pair(g, counts, by_index.randrange(len(oracle)))
-            assert drawn == by_choice.choice(oracle)
-        assert by_index.getstate() == by_choice.getstate()
+        drawn = _draws(g, seed)
+        assert len(drawn) == (200 if oracle else 0)
+        assert set(drawn) <= oracle
+        assert _draws(g, seed) == drawn
+
+
+def test_distant_pair_draws_reach_every_pair_on_q3():
+    g = DISTANT_PAIR_GRAPHS["q3"]
+    oracle = _distant_pairs_oracle(g)
+    assert len(oracle) == 8 * (8 - 1 - 3)
+    assert set(_draws(g, 0, 1000)) == set(oracle)
+    # seed 0 draws (6, 6), (0, 4) and (7, 6) first, each rejected
+    assert _draws(g, 0, 4) == [(4, 7), (5, 3), (2, 4), (2, 1)]
+
+
+class _NoDraws(random.Random):
+    def randrange(self, *args):
+        raise AssertionError("drew from a graph with no distant pair")
+
+
+@pytest.mark.parametrize("name", ["q1", "k4"])
+def test_distant_pair_draws_end_without_drawing_when_there_is_none(name):
+    assert list(_distant_pair_draws(DISTANT_PAIR_GRAPHS[name], _NoDraws(0))) == []
+
+
+def _characterization_checks(d):
+    pairs = math.comb(d, 2)
+    cases = 50 if d <= 5 else 12 if d <= 8 else 4
+    formula = 5 * pairs + pairs**2 if d <= 8 else 50
+    return cases * pairs + cases * (d >= 2) + formula
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("d", range(1, 11))
+def test_characterization_counts_to_d10(d, seed):
+    _, ctx = hypercube(d)
+    group = verify_all(ctx, groups=["characterization"], seed=seed).group(
+        "characterization"
+    )
+    expected = [0, 106, 224, 416, 700, 492, 810, 1272, 198, 234][d - 1]
+    assert _characterization_checks(d) == expected
+    assert (group.passed, group.checks, group.sampled) == (True, expected, d >= 9)
 
 
 # -- restriction to the second-largest eigenspace ------------------------------------
@@ -673,6 +715,55 @@ def test_result_records_keep_their_semantics():
     first, second = VerificationReport(2, 0), VerificationReport(d=2, seed=0)
     first.groups.append(result)
     assert (second.groups, second.timings) == ([], {})
+
+
+def _template_faults(source):
+    """(calls, lines of faults) of the ``check.require`` calls in ``source``.
+
+    A call's witness template must be a string literal whose replacement
+    fields use exactly the arguments after it.  A bad template raises only
+    when its check fails, which is when the witness is needed.
+    """
+    calls, faults = 0, []
+    for node in ast.walk(ast.parse(source)):
+        is_call = isinstance(node, ast.Call)
+        if not (is_call and getattr(node.func, "attr", "") == "require"):
+            continue
+        calls += 1
+        _, template, *args = node.args
+        literal = isinstance(template, ast.Constant) and isinstance(template.value, str)
+        if not literal or any(isinstance(a, ast.Starred) for a in args):
+            faults.append(node.lineno)
+            continue
+        parsed = string.Formatter().parse(template.value)
+        fields = [field for _, field, _, _ in parsed if field is not None]
+        if all(field.isdigit() for field in fields):
+            ok = {int(field) for field in fields} == set(range(len(args)))
+        else:
+            ok = not any(fields) and len(fields) == len(args)
+        if not ok:
+            faults.append(node.lineno)
+    return calls, faults
+
+
+def test_every_witness_template_matches_its_arguments():
+    calls = 0
+    for path in sorted(Path(alike_module.__file__).parent.glob("*.py")):
+        found, faults = _template_faults(path.read_text())
+        assert faults == [], path.name
+        calls += found
+    assert calls >= 40  # every call site was found
+    bad = [
+        'check.require(ok, "a {} b {}", x)',
+        'check.require(ok, "b_{0}{1}", i)',
+        'check.require(ok, "{} and {1}", i, j)',
+        "check.require(ok, witness, i)",
+        'check.require(ok, "b_{0}{1} {0}", i, j)',  # the one good call
+        'check.require(ok, "{}", *args)',
+        'check.require(ok, "{name}", i)',
+        'check.require(ok, "{}")',
+    ]
+    assert _template_faults("\n".join(bad)) == (8, [1, 2, 3, 4, 6, 7, 8])
 
 
 # (checks passed before the failing one, witness) of each group that reads
