@@ -24,7 +24,6 @@ from .hypercube import (
     EigenData,
     Graph,
     HypercubeContext,
-    ScaledEigenvector,
     adjacency,
     alpha,
     alpha_star,
@@ -33,7 +32,6 @@ from .hypercube import (
     cube_adjacency,
     eigen_data,
     graph_from_dict,
-    hypercube,
     load_graph,
     scaled_eigenvector,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "Graph",
     "GroupResult",
     "HypercubeContext",
-    "ScaledEigenvector",
     "SubspaceBasis",
     "VerificationReport",
     "adjacency",
@@ -84,7 +81,6 @@ __all__ = [
     "cube_adjacency",
     "eigen_data",
     "graph_from_dict",
-    "hypercube",
     "is_alike",
     "kron",
     "load_graph",

@@ -271,7 +271,7 @@ def restriction_to_E1(ctx: HypercubeContext, b: ExactMatrix) -> ExactMatrix:
         raise ValueError(
             f"matrix does not commute with the cube adjacency (entry {pos})"
         )
-    singles = [scaled_eigenvector(ctx, 1 << (t - 1)).vec for t in range(1, ctx.d + 1)]
+    singles = [scaled_eigenvector(ctx, 1 << (t - 1)) for t in range(1, ctx.d + 1)]
     ent = {}
     for s in range(1, ctx.d + 1):
         image = b.matvec(singles[s - 1])
@@ -509,7 +509,7 @@ def _group_eigenbasis(check, ctx, g, rng):
         masks = sorted(masks)
     signs = {}
     for mask in masks:
-        vec = scaled_eigenvector(ctx, mask).vec
+        vec = scaled_eigenvector(ctx, mask)
         for i in range(1, d + 1):
             bit = 1 << (i - 1)
             moved = alphas[i].matvec(vec).entries
@@ -626,7 +626,7 @@ def _group_antisym_basis(check, ctx, g, rng):
         combos = [(i, j, mask) for (i, j) in pairs for mask in range(n)]
     for i, j, mask in combos:
         coeff, target = bij_action_on_wS(ctx, i, j, mask)
-        image = mats[(i, j)].matvec(scaled_eigenvector(ctx, mask).vec).entries
+        image = mats[(i, j)].matvec(scaled_eigenvector(ctx, mask)).entries
         check.require(
             _matches_sign_vector(ctx, image, target or 0, coeff),
             "b_{}{} action on mask {} does not match the table", i, j, mask

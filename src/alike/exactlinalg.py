@@ -107,10 +107,6 @@ class ExactVector:
         vec.entries = entries
         return vec
 
-    @classmethod
-    def from_list(cls, values):
-        return cls(len(values), enumerate(values))
-
     def __getitem__(self, i):
         if not 0 <= i < self.n:
             raise IndexError(i)
@@ -128,12 +124,6 @@ class ExactVector:
 
     def __repr__(self):
         return f"ExactVector({self.n}, {sorted(self.entries.items())})"
-
-    def is_zero(self):
-        return not self.entries
-
-    def leading_index(self):
-        return min(self.entries) if self.entries else None
 
     def __add__(self, other):
         if not isinstance(other, ExactVector):
@@ -215,11 +205,6 @@ class ExactMatrix:
         return cls._raw(rows, rows if cols is None else cols, {})
 
     @classmethod
-    def ones(cls, rows, cols=None):
-        cols = rows if cols is None else cols
-        return cls._raw(rows, cols, {(r, c): 1 for r in range(rows) for c in range(cols)})
-
-    @classmethod
     def from_rows(cls, dense_rows):
         rows = len(dense_rows)
         cols = len(dense_rows[0]) if rows else 0
@@ -239,18 +224,8 @@ class ExactMatrix:
             raise IndexError(key)
         return self.entries.get((r, c), 0)
 
-    def to_rows(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     def sorted_items(self):
         return sorted(self.entries.items())
-
-    @property
-    def nnz(self):
-        return len(self.entries)
 
     def __eq__(self, other):
         return (
@@ -261,10 +236,7 @@ class ExactMatrix:
         )
 
     def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
-
-    def is_zero(self):
-        return not self.entries
+        return f"ExactMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
     def __add__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -382,15 +354,6 @@ class ExactMatrix:
         return ExactMatrix._raw(
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
         )
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace needs a square matrix")
-        total = 0
-        for (r, c), v in self.entries.items():
-            if r == c:
-                total += v
-        return total
 
     def is_symmetric(self):
         return self.rows == self.cols and self.entries == {
@@ -615,7 +578,7 @@ class SubspaceBasis:
     Construction reduces the given spanning vectors to reduced row-echelon
     form: leading entry 1, strictly increasing pivot indices, and each pivot
     index zero in every other basis vector.  Two spans are equal iff their
-    canonical forms match vector-for-vector.
+    canonical forms match vector-for-vector, which ``span_equal`` checks.
     """
 
     __slots__ = ("ambient_dim", "vectors", "pivots")
@@ -662,18 +625,8 @@ class SubspaceBasis:
     def dim(self):
         return len(self.vectors)
 
-    def __len__(self):
-        return len(self.vectors)
-
     def __iter__(self):
         return iter(self.vectors)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubspaceBasis)
-            and self.ambient_dim == other.ambient_dim
-            and self.vectors == other.vectors
-        )
 
     def __repr__(self):
         return f"SubspaceBasis(ambient={self.ambient_dim}, dim={self.dim})"

@@ -217,31 +217,20 @@ def alpha_star_via_kron(ctx: HypercubeContext, i) -> ExactMatrix:
     return _fold_factors(ctx, i, SIGN2)
 
 
-class ScaledEigenvector(NamedTuple):
-    """Sign vector W_S with entry (-1)^popcount(S & x) at vertex x.
+def scaled_eigenvector(ctx: HypercubeContext, s) -> ExactVector:
+    """W_S, entry (-1)^popcount(S & x) at vertex x, for a coordinate subset S.
 
-    These are the character eigenvectors of the cube adjacency matrix scaled
+    S is a bitmask or an iterable of coordinates 1..d.  W_S is the character
+    eigenvector of the cube adjacency matrix for eigenvalue d - 2|S|, scaled
     by 2^(d/2) so that every entry is +-1 and <W_S, W_T> = 2^d [S == T].
     """
-
-    d: int
-    s: int
-    vec: ExactVector
-
-    @property
-    def eigenvalue(self):
-        return self.d - 2 * self.s.bit_count()
-
-
-def scaled_eigenvector(ctx: HypercubeContext, s) -> ScaledEigenvector:
-    """W_S for a coordinate subset given as a bitmask or iterable of 1..d."""
     mask = s if isinstance(s, int) else ctx.mask_of(s)
     if not 0 <= mask < ctx.n:
         raise ValueError(f"subset mask {mask} out of range for d={ctx.d}")
     ent = {
         x: (-1 if (mask & x).bit_count() & 1 else 1) for x in range(ctx.n)
     }
-    return ScaledEigenvector(ctx.d, mask, ExactVector._raw(ctx.n, ent))
+    return ExactVector._raw(ctx.n, ent)
 
 
 class EigenItem(NamedTuple):

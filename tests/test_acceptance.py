@@ -163,7 +163,8 @@ def test_criterion_7_negative_controls():
         assert group.witness is not None
 
         # J commutes with A(Q2) but is nonzero at the distant pairs
-        verdict = is_alike(g2, ExactMatrix.ones(4))
+        ones = ExactMatrix(4, 4, {(x, y): 1 for x in range(4) for y in range(4)})
+        verdict = is_alike(g2, ones)
         assert not verdict
         assert verdict.failed_condition == "support"
 

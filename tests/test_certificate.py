@@ -77,7 +77,7 @@ def certify(g, basis, sign):
         for row in rows:
             assert sum(c * x[k] for k, c in row.items()) == 0
     nullities = (len(cells) - rank_mod(rows, p) for p in PRIMES)
-    assert any(nullity == len(basis) for nullity in nullities)
+    assert any(nullity == basis.dim for nullity in nullities)
 
 
 def _graphs():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
+import alike.hypercube
 from alike.cli import _emit_matrices, main
 from alike.exactlinalg import ExactMatrix
 from alike.hypercube import hypercube
@@ -362,14 +363,12 @@ def test_graph_file_above_byte_bound_is_usage_error(capsys, tmp_path, monkeypatc
     # the file is rejected by its size, before json parses any of it
     path = write_p3(tmp_path)
     size = os.path.getsize(path)
-    # the module itself: the package attribute alike.hypercube is the builder
-    module = sys.modules["alike.hypercube"]
-    monkeypatch.setattr(module, "MAX_GRAPH_FILE_BYTES", size - 1)
+    monkeypatch.setattr(alike.hypercube, "MAX_GRAPH_FILE_BYTES", size - 1)
     code, out, err = run_cli(capsys, "solve", "--graph", path)
     assert code == 2
     assert out == ""
     assert f"graph file is larger than {size - 1} bytes" in err
-    monkeypatch.setattr(module, "MAX_GRAPH_FILE_BYTES", size)
+    monkeypatch.setattr(alike.hypercube, "MAX_GRAPH_FILE_BYTES", size)
     code, _, _ = run_cli(capsys, "solve", "--graph", path)
     assert code == 0
 
