@@ -243,8 +243,8 @@ def characterization_residual(ctx: HypercubeContext, b: ExactMatrix, i, j) -> Ex
     """s_i s_j B - s_i B s_j - s_j B s_i + B s_i s_j with s = alpha_star.
 
     Computed as [s_i, [s_j, B]]: the diagonal s_i and s_j commute, so the
-    nested commutator expands to the same four terms, and each commutator
-    with a diagonal is one pass over the entries, with no matrix product.
+    nested commutator expands to the same four terms, and each commutator,
+    its diagonal on the left, is one pass over the entries, with no product.
     Entry (x, y) equals (s_i[x,x] - s_i[y,y]) (s_j[x,x] - s_j[y,y]) B[x,y],
     so the residual vanishes for every pair i < j exactly when the support
     of B lies inside {equal or adjacent}.
@@ -282,15 +282,15 @@ def restriction_to_E1(ctx: HypercubeContext, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._raw(ctx.d, ctx.d, ent)
 
 
-def bij_action_on_wS(ctx: HypercubeContext, i, j, s):
-    """Closed-form action of b_ij on the sign vector of subset s.
+def bij_action_on_wS(ctx: HypercubeContext, i, j, mask):
+    """Closed-form action of b_ij on the sign vector W_S of a subset S.
 
-    Returns (coefficient, subset_mask): (-4, (s | j) \\ i) when i is in s and
-    j is not, (+4, (s | i) \\ j) in the mirrored case, and (0, None) otherwise.
+    ``mask`` is the bitmask of S.  Returns (coefficient, subset_mask):
+    (-4, (mask | j) \\ i) when i is in S and j is not, (+4, (mask | i) \\ j)
+    in the mirrored case, and (0, None) otherwise.
     """
     if not 1 <= i < j <= ctx.d:
         raise ValueError(f"need 1 <= i < j <= {ctx.d}, got ({i}, {j})")
-    mask = s if isinstance(s, int) else ctx.mask_of(s)
     if not 0 <= mask < ctx.n:
         raise ValueError(f"subset mask {mask} out of range for d={ctx.d}")
     bi, bj = ctx.bit(i), ctx.bit(j)
@@ -469,11 +469,16 @@ def characterization_cases(check, ctx, g, rng, cases):
         )
 
 
+def _coordinate_matrices(ctx):
+    """The dicts i -> alpha_i and i -> alpha_star_i for i = 1..d."""
+    coords = range(1, ctx.d + 1)
+    return {i: alpha(ctx, i) for i in coords}, {i: alpha_star(ctx, i) for i in coords}
+
+
 def _group_alpha(check, ctx, g, rng):
     d, n = ctx.d, ctx.n
     ident = ExactMatrix.identity(n)
-    alphas = {i: alpha(ctx, i) for i in range(1, d + 1)}
-    stars = {i: alpha_star(ctx, i) for i in range(1, d + 1)}
+    alphas, stars = _coordinate_matrices(ctx)
     for i in range(1, d + 1):
         check.require(alphas[i] @ alphas[i] == ident, "alpha_{}^2 != I", i)
         check.require(stars[i] @ stars[i] == ident, "alpha_star_{}^2 != I", i)
@@ -484,7 +489,7 @@ def _group_alpha(check, ctx, g, rng):
     for i, j in itertools.product(range(1, d + 1), repeat=2):
         commute = alphas[i] @ alphas[j] == alphas[j] @ alphas[i]
         check.require(commute, "alpha_{} and alpha_{} do not commute", i, j)
-        commute = stars[i] @ stars[j] == stars[j] @ stars[i]
+        commute = not commutator(stars[i], stars[j]).entries
         check.require(commute, "alpha_star_{} and alpha_star_{} do not commute", i, j)
         # alpha_i anticommutes with alpha_star_i and commutes with the others
         rhs = stars[j] @ alphas[i]
@@ -497,8 +502,7 @@ def _group_alpha(check, ctx, g, rng):
 
 def _group_eigenbasis(check, ctx, g, rng):
     d, n = ctx.d, ctx.n
-    alphas = {i: alpha(ctx, i) for i in range(1, d + 1)}
-    stars = {i: alpha_star(ctx, i) for i in range(1, d + 1)}
+    alphas, stars = _coordinate_matrices(ctx)
     adj = cube_adjacency(ctx)
     masks = range(n)
     if d > _EIGEN_EXHAUSTIVE_D:
@@ -596,8 +600,7 @@ def _group_sym_basis(check, ctx, g, rng):
 def _group_antisym_basis(check, ctx, g, rng):
     d, n = ctx.d, ctx.n
     adj = cube_adjacency(ctx)
-    alphas = {i: alpha(ctx, i) for i in range(1, d + 1)}
-    stars = {i: alpha_star(ctx, i) for i in range(1, d + 1)}
+    alphas, stars = _coordinate_matrices(ctx)
     pairs = coordinate_pairs(d)
     mats = {}
     for i, j in pairs:
@@ -667,28 +670,20 @@ def _group_restriction(check, ctx, g, rng):
         check.require(spanning, "restrictions do not span the antisymmetric space")
 
 
-def _skip_solver(ctx, g, brute_cap):
-    if g.n > brute_cap:
-        return f"brute-force solver capped at {brute_cap} vertices"
-    return None
-
-
-#: Check group name -> (run(result, ctx, graph, rng), skip(ctx, graph,
-#: brute_cap) giving the reason the group is skipped, or None to run it).  A
-#: group reaches the functions it checks through this module's globals at call
-#: time, so a tracer that patches those names sees every call.
+#: Check group name -> its routine run(result, ctx, graph, rng).  A group
+#: reaches the functions it checks through this module's globals at call time,
+#: so a tracer that patches those names sees every call.
 GROUPS = {
-    "alpha": (_group_alpha, None),
-    "eigenbasis": (_group_eigenbasis, None),
-    "idempotents": (
-        lambda check, ctx, g, rng: idempotent_report(check, ctx, eigen_data(ctx)),
-        None,
+    "alpha": _group_alpha,
+    "eigenbasis": _group_eigenbasis,
+    "idempotents": lambda check, ctx, g, rng: idempotent_report(
+        check, ctx, eigen_data(ctx)
     ),
-    "characterization": (_group_characterization, None),
-    "sym_basis": (_group_sym_basis, None),
-    "antisym_basis": (_group_antisym_basis, None),
-    "dimensions": (_group_dimensions, _skip_solver),
-    "restriction": (_group_restriction, None),
+    "characterization": _group_characterization,
+    "sym_basis": _group_sym_basis,
+    "antisym_basis": _group_antisym_basis,
+    "dimensions": _group_dimensions,
+    "restriction": _group_restriction,
 }
 
 GROUP_NAMES = tuple(GROUPS)
@@ -711,11 +706,11 @@ def verify_all(
     ``graph`` overrides the cube graph wherever a graph is consumed (support
     positions, membership checks, the adjacency-sum identity, the brute-force
     solve); it exists so tests can feed corrupted data and watch the checks
-    fail.  Groups whose size caps are exceeded are reported as skipped, not
-    failed.  Per-group wall-clock timings are kept on the report object but
-    stay out of ``to_dict`` so serialized reports are deterministic.  An
-    empty selection is a ``ValueError``: a report that checked nothing must
-    not read as a pass.
+    fail.  ``dimensions`` is reported as skipped, not failed, when the graph
+    has more than ``brute_cap`` vertices.  Per-group wall-clock timings are
+    kept on the report object but stay out of ``to_dict`` so serialized
+    reports are deterministic.  An empty selection is a ``ValueError``: a
+    report that checked nothing must not read as a pass.
     """
     selected = GROUP_NAMES if groups is None else resolve_groups(groups)
     if not selected:
@@ -723,12 +718,12 @@ def verify_all(
     if graph is None:
         graph = hypercube(ctx.d, cap=ctx.d)[0]
     report = VerificationReport(d=ctx.d, seed=seed)
-    for name, (run, skip) in GROUPS.items():
+    for name, run in GROUPS.items():
         if name not in selected:
             continue
         start = time.perf_counter()
-        reason = skip(ctx, graph, brute_cap) if skip else None
-        if reason:
+        if name == "dimensions" and graph.n > brute_cap:
+            reason = f"brute-force solver capped at {brute_cap} vertices"
             result = GroupResult(name, None, skipped=True, reason=reason)
         else:
             rng = random.Random(f"{seed}:{name}")

@@ -108,7 +108,7 @@ def _matrix_json(label, m, layout):
         '\n      "entries": '
     ]
     start = 0
-    for (r, c), v in m.sorted_items():
+    for (r, c), v in sorted(m.entries.items()):
         at = first + r * row_step + c * cell_step
         pieces += (text[start:at], encode_basestring_ascii(str(v)))
         start = at + len('"0"')
@@ -139,7 +139,7 @@ def _emit_matrices(args, labeled, payload):
     lines = []
     for label, matrix in labeled:
         lines.append(f"matrix {label} rows={matrix.rows} cols={matrix.cols}")
-        for (r, c), v in matrix.sorted_items():
+        for (r, c), v in sorted(matrix.entries.items()):
             lines.append(f"{r} {c} {v}")
         lines.append("")
     sys.stdout.write("\n".join(lines))

@@ -9,8 +9,9 @@ one pivot-row format, and one back-substitution for both.  Entries are
 elimination routines store an integral value as an ``int``, so integer
 matrices never pay for ``Fraction`` arithmetic.  No floating point anywhere:
 a float entry is a ``TypeError``.
-A commutator with a diagonal operand is one pass that scales each entry of
-the other operand by a difference of two diagonal values.
+The only diagonal pass is a commutator with a diagonal left operand: one
+pass that scales each entry of the other operand by a difference of two
+diagonal values.
 Values are treated as immutable: every operation returns a new object, so
 instances are safe to share across threads.
 """
@@ -224,9 +225,6 @@ class ExactMatrix:
             raise IndexError(key)
         return self.entries.get((r, c), 0)
 
-    def sorted_items(self):
-        return sorted(self.entries.items())
-
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
@@ -278,8 +276,6 @@ class ExactMatrix:
         return vals
 
     def __matmul__(self, other):
-        if isinstance(other, ExactVector):
-            return self.matvec(other)
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -287,25 +283,6 @@ class ExactMatrix:
                 f"matrix dimension mismatch in product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
-        diag = self._diagonal_values()
-        if diag is not None:
-            ent = {}
-            for (r, c), v in other.entries.items():
-                dv = diag.get(r)
-                if dv is None:
-                    continue
-                # unit scaling dominates in practice; skip the gcd work
-                ent[(r, c)] = v if dv == 1 else -v if dv == -1 else _rat(dv * v)
-            return ExactMatrix._raw(self.rows, other.cols, ent)
-        diag = other._diagonal_values()
-        if diag is not None:
-            ent = {}
-            for (r, c), v in self.entries.items():
-                dv = diag.get(c)
-                if dv is None:
-                    continue
-                ent[(r, c)] = v if dv == 1 else -v if dv == -1 else _rat(v * dv)
-            return ExactMatrix._raw(self.rows, other.cols, ent)
         rows_of = {}
         for (r, c), v in other.entries.items():
             rows_of.setdefault(r, []).append((c, v))
@@ -385,21 +362,20 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """a @ b - b @ a.
 
-    With a diagonal D on either side, entry (r, c) is (D[r] - D[c]) B[r, c],
-    negated when D is on the right: one multiply per entry of B whose factor
-    is nonzero, and no intermediate products.
+    With a diagonal D on the left, entry (r, c) is (D[r] - D[c]) B[r, c]: one
+    multiply per entry of B whose factor is nonzero, and no intermediate
+    products.  This is the only diagonal pass; any other pair of operands,
+    a diagonal on the right included, takes the two products.
     """
     if a.rows == a.cols == b.rows == b.cols:
-        diag, other, sign = a._diagonal_values(), b, 1
-        if diag is None:
-            diag, other, sign = b._diagonal_values(), a, -1
+        diag = a._diagonal_values()
         if diag is not None:
             get = diag.get
             ent = {}
-            for (r, c), v in other.entries.items():
+            for (r, c), v in b.entries.items():
                 factor = get(r, 0) - get(c, 0)
                 if factor:
-                    ent[(r, c)] = _rat(sign * factor * v)
+                    ent[(r, c)] = _rat(factor * v)
             return ExactMatrix._raw(a.rows, a.cols, ent)
     return a @ b - b @ a
 

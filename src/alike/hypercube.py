@@ -136,12 +136,6 @@ class HypercubeContext(_CubeDimension):
             raise ValueError(f"coordinate {i} out of range 1..{self.d}")
         return 1 << (i - 1)
 
-    def mask_of(self, coords):
-        mask = 0
-        for i in coords:
-            mask |= self.bit(i)
-        return mask
-
     def coords_of(self, mask):
         return tuple(i for i in range(1, self.d + 1) if mask >> (i - 1) & 1)
 
@@ -217,14 +211,14 @@ def alpha_star_via_kron(ctx: HypercubeContext, i) -> ExactMatrix:
     return _fold_factors(ctx, i, SIGN2)
 
 
-def scaled_eigenvector(ctx: HypercubeContext, s) -> ExactVector:
-    """W_S, entry (-1)^popcount(S & x) at vertex x, for a coordinate subset S.
+def scaled_eigenvector(ctx: HypercubeContext, mask) -> ExactVector:
+    """W_S, entry (-1)^popcount(mask & x) at vertex x, for the subset S of mask.
 
-    S is a bitmask or an iterable of coordinates 1..d.  W_S is the character
-    eigenvector of the cube adjacency matrix for eigenvalue d - 2|S|, scaled
-    by 2^(d/2) so that every entry is +-1 and <W_S, W_T> = 2^d [S == T].
+    ``mask`` is a bitmask: bit i-1 is set when coordinate i is in S.  W_S is
+    the character eigenvector of the cube adjacency matrix for eigenvalue
+    d - 2|S|, scaled by 2^(d/2) so that every entry is +-1 and
+    <W_S, W_T> = 2^d [S == T].
     """
-    mask = s if isinstance(s, int) else ctx.mask_of(s)
     if not 0 <= mask < ctx.n:
         raise ValueError(f"subset mask {mask} out of range for d={ctx.d}")
     ent = {

@@ -674,10 +674,10 @@ def test_restriction_of_antisymmetric_member_is_antisymmetric():
 
 def test_bij_action_frozen_cases():
     _, ctx2 = hypercube(2)
-    assert bij_action_on_wS(ctx2, 1, 2, ctx2.mask_of([1])) == (-4, ctx2.mask_of([2]))
+    assert bij_action_on_wS(ctx2, 1, 2, 0b01) == (-4, 0b10)
     assert bij_action_on_wS(ctx2, 1, 2, 0) == (0, None)
     _, ctx3 = hypercube(3)
-    assert bij_action_on_wS(ctx3, 1, 2, ctx3.mask_of([2])) == (4, ctx3.mask_of([1]))
+    assert bij_action_on_wS(ctx3, 1, 2, 0b10) == (4, 0b01)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -128,6 +128,8 @@ def test_dimension_mismatch_raises():
         ExactVector(2) - ExactVector(3)
     with pytest.raises(ValueError):
         a.matvec(ExactVector(3))
+    with pytest.raises(TypeError):
+        a @ ExactVector(2, {0: 1})
 
 
 def test_entry_bounds_checked():
@@ -148,7 +150,7 @@ def test_arithmetic_is_exact():
 
 def test_entries_are_canonical_exact_scalars():
     m = ExactMatrix(1, 3, {(0, 0): Fraction(4, 2), (0, 1): True, (0, 2): Fraction(1, 2)})
-    assert [type(v) for _, v in m.sorted_items()] == [int, int, Fraction]
+    assert [type(v) for _, v in sorted(m.entries.items())] == [int, int, Fraction]
     assert m == ExactMatrix.from_rows([[2, 1, Fraction(1, 2)]])
     assert type(exact_quotient(6, -3)) is int and exact_quotient(6, -3) == -2
     assert exact_quotient(1, 3) == Fraction(1, 3)

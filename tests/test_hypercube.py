@@ -70,7 +70,6 @@ def test_hypercube_range_errors():
 def test_context_encoding():
     _, ctx = hypercube(3)
     assert ctx.n == 8
-    assert ctx.mask_of([1, 3]) == 0b101
     assert ctx.coords_of(0b101) == (1, 3)
     with pytest.raises(ValueError):
         ctx.bit(4)
@@ -194,13 +193,14 @@ def test_eigenvector_orthogonality(d):
             assert vecs[s].inner(vecs[t]) == (ctx.n if s == t else 0)
 
 
-def test_scaled_eigenvector_accepts_coordinate_iterables():
+def test_scaled_eigenvector_takes_a_bitmask_only():
     _, ctx = hypercube(3)
-    w = scaled_eigenvector(ctx, (1, 3))
-    assert w == scaled_eigenvector(ctx, 0b101)
+    w = scaled_eigenvector(ctx, 0b101)
     assert cube_adjacency(ctx).matvec(w) == w.scale(3 - 2 * 2)
     with pytest.raises(ValueError):
         scaled_eigenvector(ctx, 8)
+    with pytest.raises(TypeError):
+        scaled_eigenvector(ctx, (1, 3))
 
 
 # -- spectral projectors ----------------------------------------------------------
