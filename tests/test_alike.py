@@ -891,6 +891,18 @@ def test_eigenbasis_detects_a_flipped_sign(monkeypatch):
     assert group.witness == "alpha_1 action wrong on mask 1"
 
 
+def test_eigenbasis_detects_a_flipped_sign_in_the_last_vector_at_d10(monkeypatch):
+    def flip_first(vec):
+        return ExactVector(vec.n, {**vec.entries, 0: -vec.entries[0]})
+
+    _patch_sign_vector(monkeypatch, 1023, flip_first)
+    _, ctx = hypercube(10)
+    group = verify_all(ctx, groups=["eigenbasis"], seed=0).group("eigenbasis")
+    # the 1023 masks before it pass their 2d + 1 = 21 actions each
+    witness = "alpha_1 action wrong on mask 1023"
+    assert (group.passed, group.checks, group.witness) == (False, 21483, witness)
+
+
 def test_eigenbasis_rejects_a_vector_that_is_not_plus_minus_one(monkeypatch):
     # the packed inner product is exact only for +-1 entries: with the
     # actions passed regardless, a missing entry must still end the group
