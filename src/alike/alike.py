@@ -307,10 +307,8 @@ def bij_action_on_wS(ctx: HypercubeContext, i, j, mask):
 
 SKIP_ALIASES = {"brute": "dimensions"}
 
-# Largest d checked exhaustively, and the sample size above it.
-_EIGEN_EXHAUSTIVE_D, _EIGEN_SAMPLE = 10, 128
-_CHAR_EXHAUSTIVE_D, _CHAR_SAMPLE = 8, 10
-_TABLE_EXHAUSTIVE_D, _TABLE_SAMPLE = 5, 120
+# Largest d checked exhaustively, and the sample sizes above it.
+_EXHAUSTIVE_D, _EIGEN_SAMPLE, _CHAR_SAMPLE = 10, 128, 10
 
 
 class _Failed(Exception):
@@ -386,14 +384,36 @@ class VerificationReport(SimpleNamespace):
         }
 
 
-def _matches_sign_vector(ctx, entries, mask, scale):
-    """Entries equal scale * W_mask (empty when scale is 0), checked exactly."""
-    if scale == 0:
-        return not entries
-    return len(entries) == ctx.n and all(
-        v == (-scale if (mask & x).bit_count() & 1 else scale)
-        for x, v in entries.items()
-    )
+def _pack(flags):
+    """The int with bit x set where flags[x] is true: one bit lane per vertex."""
+    return int(bytes(reversed(flags)).translate(bytes.maketrans(b"\0\1", b"01")), 2)
+
+
+def _sign_bits(check, ctx, mask):
+    """The real W_mask packed, -1 as a set bit; the +-1 check guards each lane op."""
+    entries = scaled_eigenvector(ctx, mask).entries
+    if entries.keys() != set(range(ctx.n)) or not set(entries.values()) <= {1, -1}:
+        check.fail(f"W_{mask} is not a +-1 vector")
+    return _pack([entries[x] == -1 for x in range(ctx.n)])
+
+
+def _formula_lanes(ctx):
+    """W_S packed from the formula for every mask S, and flip(w, bit) on lanes.
+
+    W_S is the XOR of the C_k, k in S, where C_k = W_{2^k} holds the x with bit
+    k set; flip(w, bit) gives the lanes of W[x ^ bit] from the lanes w of W.
+    """
+    lanes = [0]
+    for col in [_pack([x >> k & 1 for x in range(ctx.n)]) for k in range(ctx.d)]:
+        lanes += [w ^ col for w in lanes]
+    return lanes, lambda w, bit: (w & ~lanes[bit]) << bit | (w & lanes[bit]) >> bit
+
+
+def _offset_signs(m, n, offsets, u):
+    """Lanes N_a by offset a, if m's entries are exactly m[x, x ^ a] = u (-1)^N_a[x]."""
+    rows = {a: [m.entries.get((x, x ^ a)) for x in range(n)] for a in offsets}
+    ok = len(m.entries) == n * len(rows) and set().union(*rows.values()) <= {u, -u}
+    return {a: _pack([v != u for v in r]) for a, r in rows.items()} if ok else None
 
 
 def _random_fraction(rng):
@@ -492,10 +512,12 @@ def _group_alpha(check, ctx, g, rng):
         commute = not commutator(stars[i], stars[j]).entries
         check.require(commute, "alpha_star_{} and alpha_star_{} do not commute", i, j)
         # alpha_i anticommutes with alpha_star_i and commutes with the others
-        rhs = stars[j] @ alphas[i]
-        relation = "anticommute" if i == j else "commute"
-        holds = alphas[i] @ stars[j] == (-rhs if i == j else rhs)
-        check.require(holds, "alpha_{} and alpha_star_{} do not {}", i, j, relation)
+        if i == j:
+            anti = alphas[i] @ stars[j] == -(stars[j] @ alphas[i])
+            check.require(anti, "alpha_{} and alpha_star_{} do not anticommute", i, j)
+        else:
+            commute = not commutator(stars[j], alphas[i]).entries
+            check.require(commute, "alpha_{} and alpha_star_{} do not commute", i, j)
     total = sum(alphas.values(), ExactMatrix.zeros(n))
     check.require(total == adjacency(g), "sum of alpha_i is not the adjacency matrix")
 
@@ -503,9 +525,13 @@ def _group_alpha(check, ctx, g, rng):
 def _group_eigenbasis(check, ctx, g, rng):
     d, n = ctx.d, ctx.n
     alphas, stars = _coordinate_matrices(ctx)
-    adj = cube_adjacency(ctx)
+    formula, flip = _formula_lanes(ctx)
+    full, bits = (1 << n) - 1, [ctx.bit(i) for i in alphas]
+    flips = {i: _offset_signs(alphas[i], n, [b], 1) for i, b in enumerate(bits, 1)}
+    diagonals = {i: _offset_signs(m, n, [0], 1) for i, m in stars.items()}
+    is_sum = _offset_signs(cube_adjacency(ctx), n, bits, 1) == dict.fromkeys(bits, 0)
     masks = range(n)
-    if d > _EIGEN_EXHAUSTIVE_D:
+    if d > _EXHAUSTIVE_D:
         check.sampled = True
         masks = {0, n - 1}
         while len(masks) < _EIGEN_SAMPLE:
@@ -513,23 +539,15 @@ def _group_eigenbasis(check, ctx, g, rng):
         masks = sorted(masks)
     signs = {}
     for mask in masks:
-        vec = scaled_eigenvector(ctx, mask)
-        for i in range(1, d + 1):
-            bit = 1 << (i - 1)
-            moved = alphas[i].matvec(vec).entries
-            ok = _matches_sign_vector(ctx, moved, mask, -1 if mask & bit else 1)
+        w = signs[mask] = _sign_bits(check, ctx, mask)
+        for i, bit in enumerate(bits, 1):
+            col, sign = formula[bit], full if mask & bit else 0
+            ok = flips[i] == {bit: 0} and flip(w, bit) == formula[mask] ^ sign
             check.require(ok, "alpha_{} action wrong on mask {}", i, mask)
-            starred = stars[i].matvec(vec).entries
-            ok = _matches_sign_vector(ctx, starred, mask ^ bit, 1)
+            ok = diagonals[i] == {0: col} and w ^ col == formula[mask ^ bit]
             check.require(ok, "alpha_star_{} action wrong on mask {}", i, mask)
-        image = adj.matvec(vec).entries
-        ok = _matches_sign_vector(ctx, image, mask, d - 2 * mask.bit_count())
-        check.require(ok, "adjacency action wrong on mask {}", mask)
-        # packed with bit x set where W_mask[x] is -1, <W_s, W_t> is
-        # n - 2 popcount(w_s ^ w_t); that holds only for +-1 vectors
-        if len(vec.entries) != n or not set(vec.entries.values()) <= {1, -1}:
-            check.fail(f"W_{mask} is not a +-1 vector")
-        signs[mask] = sum(1 << x for x, v in vec.entries.items() if v == -1)
+        # A, the sum of the alpha_i, takes W_mask to (d - 2|mask|) W_mask
+        check.require(is_sum, "adjacency action wrong on mask {}", mask)
     for s, ws in signs.items():
         for t, wt in signs.items():
             expect = n if s == t else 0
@@ -544,7 +562,7 @@ def _group_characterization(check, ctx, g, rng):
     # residual route vs entrywise product formula, on unrestricted matrices
     n = ctx.n
     pairs = coordinate_pairs(ctx.d)
-    exhaustive = ctx.d <= _CHAR_EXHAUSTIVE_D
+    exhaustive = ctx.d <= _EXHAUSTIVE_D
     # above the cap: a sample of pairs per matrix, and no b_pq block
     check.sampled = not exhaustive
     for _ in range(5):
@@ -622,18 +640,20 @@ def _group_antisym_basis(check, ctx, g, rng):
             rhs = alphas[ell] @ b
             ok = lhs == (-rhs if ell in (i, j) else rhs)
             check.require(ok, "b_{}{} sign relation with alpha_{} fails", i, j, ell)
-    if d > _TABLE_EXHAUSTIVE_D:
-        check.sampled = True
-        combos = [(*rng.choice(pairs), rng.randrange(n)) for _ in range(_TABLE_SAMPLE)]
-    else:
-        combos = [(i, j, mask) for (i, j) in pairs for mask in range(n)]
-    for i, j, mask in combos:
-        coeff, target = bij_action_on_wS(ctx, i, j, mask)
-        image = mats[(i, j)].matvec(scaled_eigenvector(ctx, mask)).entries
-        check.require(
-            _matches_sign_vector(ctx, image, target or 0, coeff),
-            "b_{}{} action on mask {} does not match the table", i, j, mask
-        )
+    formula, flip = _formula_lanes(ctx)
+    full, signs = (1 << n) - 1, [_sign_bits(check, ctx, mask) for mask in range(n)]
+    for (i, j), b in mats.items():
+        lanes = _offset_signs(b, n, [ctx.bit(i), ctx.bit(j)], 2)
+        for mask, w in enumerate(signs):
+            coeff, target = bij_action_on_wS(ctx, i, j, mask)
+            ok = lanes is not None and coeff in (0, 4, -4)
+            if ok:  # b_ij W is 2 (-1)^t_i + 2 (-1)^t_j lane by lane
+                ti, tj = (flip(w, a) ^ t for a, t in lanes.items())
+                sign = full if coeff < 0 else 0
+                ok = ti == tj == formula[target] ^ sign if coeff else ti ^ tj == full
+            check.require(
+                ok, "b_{}{} action on mask {} does not match the table", i, j, mask
+            )
     if pairs:
         independent = SubspaceBasis.from_matrices(list(mats.values())).dim == len(pairs)
         check.require(independent, "antisymmetric basis is linearly dependent")

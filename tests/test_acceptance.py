@@ -97,9 +97,11 @@ def test_criterion_3_identity_suite_to_d10():
             eigenbasis = report.group("eigenbasis")
             assert not eigenbasis.sampled
             assert eigenbasis.checks == (1 << d) * (2 * d + 1) + (1 << 2 * d)
+            # every (i, j, mask) case of the b_ij action table
+            antisym = report.group("antisym_basis")
+            assert not antisym.sampled
             pairs = math.comb(d, 2)
-            table = pairs * (1 << d) if d <= 5 else 120
-            assert report.group("antisym_basis").checks >= pairs * (4 + d) + table
+            assert antisym.checks >= pairs * (4 + d) + pairs * (1 << d)
         assert time.time() - start < 300
 
 

@@ -17,7 +17,10 @@ from alike.alike import (
     GroupResult,
     VerificationReport,
     _distant_pair_draws,
+    _formula_lanes,
+    _offset_signs,
     _random_support_matrix,
+    _sign_bits,
     b_matrix,
     bij_action_on_wS,
     characterization_cases,
@@ -25,6 +28,7 @@ from alike.alike import (
     closed_form_antisym_basis,
     closed_form_spans,
     closed_form_sym_basis,
+    coordinate_pairs,
     is_alike,
     restriction_to_E1,
     solve_alike,
@@ -613,7 +617,7 @@ def test_distant_pair_draws_end_without_drawing_when_there_is_none(name):
 def _characterization_checks(d):
     pairs = math.comb(d, 2)
     cases = 50 if d <= 5 else 12 if d <= 8 else 4
-    formula = 5 * pairs + pairs**2 if d <= 8 else 50
+    formula = 5 * pairs + pairs**2 if d <= 10 else 50
     return cases * pairs + cases * (d >= 2) + formula
 
 
@@ -624,9 +628,9 @@ def test_characterization_counts_to_d10(d, seed):
     group = verify_all(ctx, groups=["characterization"], seed=seed).group(
         "characterization"
     )
-    expected = [0, 106, 224, 416, 700, 492, 810, 1272, 198, 234][d - 1]
+    expected = [0, 106, 224, 416, 700, 492, 810, 1272, 1624, 2434][d - 1]
     assert _characterization_checks(d) == expected
-    assert (group.passed, group.checks, group.sampled) == (True, expected, d >= 9)
+    assert (group.passed, group.checks, group.sampled) == (True, expected, False)
 
 
 # -- restriction to the second-largest eigenspace ------------------------------------
@@ -701,6 +705,46 @@ def test_bij_action_validation():
         bij_action_on_wS(ctx, 2, 1, 0)
     with pytest.raises(ValueError):
         bij_action_on_wS(ctx, 1, 2, 4)
+
+
+def _lanes_of(vec, unit):
+    """Bit x set where vec[x] is -unit, for a vector whose entries are all +-unit."""
+    assert len(vec.entries) == vec.n and set(vec.entries.values()) <= {unit, -unit}
+    return sum(1 << x for x, v in vec.entries.items() if v == -unit)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_packed_actions_match_matvec(d):
+    # the lane route of eigenbasis and the action table against exact matvec
+    _, ctx = hypercube(d)
+    formula, flip = _formula_lanes(ctx)
+    for mask in range(ctx.n):
+        vec = scaled_eigenvector(ctx, mask)
+        w = _sign_bits(GroupResult("lanes"), ctx, mask)
+        assert w == formula[mask] == _lanes_of(vec, 1)
+        for i in range(1, d + 1):
+            bit = ctx.bit(i)
+            assert flip(w, bit) == _lanes_of(alpha(ctx, i).matvec(vec), 1)
+            assert w ^ formula[bit] == _lanes_of(alpha_star(ctx, i).matvec(vec), 1)
+        for i, j in coordinate_pairs(d):
+            b = b_matrix(ctx, i, j)
+            lanes = _offset_signs(b, ctx.n, [ctx.bit(i), ctx.bit(j)], 2)
+            ti, tj = (flip(w, a) ^ t for a, t in lanes.items())
+            image = b.matvec(vec)
+            for x in range(ctx.n):
+                assert image[x] == 2 * (-1) ** (ti >> x & 1) + 2 * (-1) ** (tj >> x & 1)
+
+
+def test_offset_signs_reject_another_form():
+    _, ctx = hypercube(2)
+    b = b_matrix(ctx, 1, 2)
+    assert _offset_signs(b, 4, [1, 2], 2) == {1: 0b0110, 2: 0b1001}
+    assert _offset_signs(b, 4, [1, 2], 1) is None
+    assert _offset_signs(b, 4, [1], 2) is None
+    extra = ExactMatrix(4, 4, {**b.entries, (0, 0): 2})
+    assert _offset_signs(extra, 4, [1, 2], 2) is None
+    missing = ExactMatrix(4, 4, {k: v for k, v in b.entries.items() if k != (0, 1)})
+    assert _offset_signs(missing, 4, [1, 2], 2) is None
 
 
 # -- verification driver ----------------------------------------------------------------
@@ -903,22 +947,66 @@ def test_eigenbasis_detects_a_flipped_sign_in_the_last_vector_at_d10(monkeypatch
     assert (group.passed, group.checks, group.witness) == (False, 21483, witness)
 
 
+def test_eigenbasis_detects_an_alpha_of_another_form(monkeypatch):
+    original = alike_module.alpha
+
+    def patched(ctx, i):
+        m = original(ctx, i)
+        return ExactMatrix(m.rows, m.cols, {**m.entries, (0, 0): 1}) if i == 1 else m
+
+    monkeypatch.setattr(alike_module, "alpha", patched)
+    group = _eigenbasis_q2()
+    witness = "alpha_1 action wrong on mask 0"
+    assert (group.passed, group.checks, group.witness) == (False, 0, witness)
+
+
+@pytest.mark.parametrize(
+    "wrong", [lambda c, t: (c, t ^ 1), lambda c, t: (2 * c, t)], ids=["target", "coeff"]
+)
+def test_antisym_basis_detects_a_wrong_table_entry(monkeypatch, wrong):
+    original = alike_module.bij_action_on_wS
+
+    def patched(ctx, i, j, mask):
+        coeff, target = original(ctx, i, j, mask)
+        return wrong(coeff, target) if (i, j, mask) == (1, 3, 4) else (coeff, target)
+
+    monkeypatch.setattr(alike_module, "bij_action_on_wS", patched)
+    _, ctx = hypercube(3)
+    group = verify_all(ctx, groups=["antisym_basis"], seed=0).group("antisym_basis")
+    # 4 + d relations for each of the 3 pairs, all 8 table cases of b_12,
+    # then the masks 0..3 of b_13
+    witness = "b_13 action on mask 4 does not match the table"
+    assert (group.passed, group.checks, group.witness) == (False, 21 + 8 + 4, witness)
+
+
 def test_eigenbasis_rejects_a_vector_that_is_not_plus_minus_one(monkeypatch):
-    # the packed inner product is exact only for +-1 entries: with the
-    # actions passed regardless, a missing entry must still end the group
+    # the packed lanes are exact only for +-1 entries: a missing entry ends
+    # the group before any action on that vector is checked
     def drop_first(vec):
         return ExactVector(vec.n, {x: v for x, v in vec.entries.items() if x})
 
     _patch_sign_vector(monkeypatch, 1, drop_first)
-    monkeypatch.setattr(alike_module, "_matches_sign_vector", lambda *args: True)
     group = _eigenbasis_q2()
-    assert (group.passed, group.checks) == (False, 10)
+    # W_0 passes its 2d + 1 actions
+    assert (group.passed, group.checks) == (False, 5)
+    assert group.witness == "W_1 is not a +-1 vector"
+
+
+def test_antisym_table_rejects_a_vector_that_is_not_plus_minus_one(monkeypatch):
+    def drop_first(vec):
+        return ExactVector(vec.n, {x: v for x, v in vec.entries.items() if x})
+
+    _patch_sign_vector(monkeypatch, 1, drop_first)
+    _, ctx = hypercube(2)
+    group = verify_all(ctx, groups=["antisym_basis"], seed=0).group("antisym_basis")
+    # b_12's 4 + d relations pass; every W_S is packed before the table
+    assert (group.passed, group.checks) == (False, 6)
     assert group.witness == "W_1 is not a +-1 vector"
 
 
 def test_eigenbasis_sampled_branch(monkeypatch):
     # the sample must stay at most 2^d, or the draw never ends
-    monkeypatch.setattr(alike_module, "_EIGEN_EXHAUSTIVE_D", 3)
+    monkeypatch.setattr(alike_module, "_EXHAUSTIVE_D", 3)
     monkeypatch.setattr(alike_module, "_EIGEN_SAMPLE", 8)
     _, ctx = hypercube(4)
     first, second = (
@@ -934,7 +1022,7 @@ def test_eigenbasis_sampled_branch(monkeypatch):
 @pytest.mark.parametrize("cap, sampled", [(5, False), (4, True)])
 def test_characterization_sampled_branch(monkeypatch, cap, sampled):
     # the sample draws 10 of the C(d, 2) pairs, so d >= 5
-    monkeypatch.setattr(alike_module, "_CHAR_EXHAUSTIVE_D", cap)
+    monkeypatch.setattr(alike_module, "_EXHAUSTIVE_D", cap)
     _, ctx = hypercube(5)
     first, second = (
         verify_all(ctx, groups=["characterization"], seed=5).group("characterization")
