@@ -1046,6 +1046,68 @@ def test_restriction_detects_a_scaled_bij(monkeypatch):
     assert group.witness == "restriction of b_12 is not 4(e_1e_2^T - e_2e_1^T)"
 
 
+def _with_entries(m, entries):
+    return ExactMatrix(m.rows, m.cols, {**m.entries, **entries})
+
+
+def _drop_edge_01(m):
+    kept = {k: v for k, v in m.entries.items() if k not in ((0, 1), (1, 0))}
+    return ExactMatrix(m.rows, m.cols, kept)
+
+
+# (library name, coordinate it changes or None, change, group, (passed, checks, witness)),
+# each on Q3 with seed 0: the relation checks of alpha, antisym_basis and
+# characterization read the cube's own structure matrices, so each must
+# catch a wrong one with the witness of the first relation it breaks
+STRUCTURE_FAULTS = {
+    "b_12-entry-negated": (
+        "b_matrix", (1, 2), lambda m: _with_entries(m, {(0, 1): -m[0, 1]}),
+        "antisym_basis", (False, 0, "b_12 != 2 s_1 s_2 (alpha_1 - alpha_2)"),
+    ),
+    "alpha_3-extra-diagonal": (
+        "alpha", 3, lambda m: _with_entries(m, {(0, 0): 1}),
+        "antisym_basis", (False, 6, "b_12 sign relation with alpha_3 fails"),
+    ),
+    "adjacency-less-an-edge": (
+        "cube_adjacency", None, _drop_edge_01,
+        "antisym_basis", (False, 2, "b_12 does not commute with the adjacency"),
+    ),
+    "alpha_star_1-entry-2": (
+        "alpha_star", 1, lambda m: _with_entries(m, {(0, 0): 2}),
+        "alpha", (False, 1, "alpha_star_1^2 != I"),
+    ),
+    "alpha_2-extra-diagonal": (
+        "alpha", 2, lambda m: _with_entries(m, {(0, 0): 1}),
+        "alpha", (False, 4, "alpha_2^2 != I"),
+    ),
+    "alpha_star_1-off-diagonal": (
+        "alpha_star", 1, lambda m: _with_entries(m, {(0, 1): 1}),
+        "characterization", (False, 0, "supported case 0: residual (1,2) is nonzero"),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(STRUCTURE_FAULTS))
+def test_relation_checks_detect_a_wrong_structure_matrix(monkeypatch, fault):
+    name, which, change, group_name, expected = STRUCTURE_FAULTS[fault]
+    original = getattr(alike_module, name)
+
+    def patched(ctx, *args):
+        m = original(ctx, *args)
+        return change(m) if which is None or args in (which, (which,)) else m
+
+    monkeypatch.setattr(alike_module, name, patched)
+    _, ctx = hypercube(3)
+    group = verify_all(ctx, groups=[group_name], seed=0).group(group_name)
+    assert (group.passed, group.checks, group.witness) == expected
+
+
+def test_restriction_names_the_first_cell_off_the_commutant():
+    _, ctx = hypercube(3)
+    with pytest.raises(ValueError, match=r"entry \(0, 4\)"):
+        restriction_to_E1(ctx, alpha_star(ctx, 3))
+
+
 def test_verify_report_is_deterministic():
     _, ctx = hypercube(2)
     first = verify_all(ctx, seed=9).to_dict()
