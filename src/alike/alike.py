@@ -29,6 +29,7 @@ from .exactlinalg import (
     ExactMatrix,
     ExactVector,
     SubspaceBasis,
+    _canonical,
     commutator,
     exact_quotient,
     nullspace,
@@ -239,21 +240,76 @@ def closed_form_spans(ctx: HypercubeContext) -> dict:
     }
 
 
+def _offset_form(m):
+    """m = sum_a diag(D_a) P_a, P_a[x, x ^ a] = 1, as {a: D_a} over its offsets a.
+
+    alpha_i has the offset e_i, alpha_star_i 0, the cube adjacency d and b_ij two.
+    Matrices are equal iff their forms are, as long as no D_a is all zero.
+    """
+    form = {}
+    for (x, y), v in m.entries.items():
+        row = form.get(x ^ y)
+        if row is None:
+            row = form[x ^ y] = [0] * m.rows
+        row[x] = v
+    return form
+
+
+def _form_sum(*terms):
+    """Form of the sum of c * m over the terms (c, form of m); zero D_a dropped."""
+    out = {}
+    for c, form in terms:
+        for a, row in form.items():
+            out[a] = [p + c * u for p, u in zip(out.get(a, itertools.repeat(0)), row)]
+    return {a: row for a, row in out.items() if any(row)}
+
+
+def _form_product(f, g):
+    """Form of the product: (D_a P_a)(D_b P_b) = diag(D_a[x] D_b[x ^ a]) P_{a ^ b}."""
+    return _form_sum(*(
+        (1, {a ^ b: [u * db[x ^ a] for x, u in enumerate(da)]})
+        for a, da in f.items() for b, db in g.items()
+    ))
+
+
+def _bracket(f, g, sign=1):
+    """Form of f g - sign g f: empty iff they commute (sign 1) or anticommute (-1)."""
+    return _form_sum((1, _form_product(f, g)), (-sign, _form_product(g, f)))
+
+
+def _star_diagonal(ctx, i):
+    """The diagonal of the real alpha_star_i as a list; None if it is not diagonal."""
+    diag = alpha_star(ctx, i)._diagonal_values()
+    return None if diag is None else [diag.get(x, 0) for x in range(ctx.n)]
+
+
+def _residual_entries(b, si, sj):
+    """Entries (s_i[x] - s_i[y]) (s_j[x] - s_j[y]) b[x, y] != 0; None if s_i or s_j is."""
+    if si is None or sj is None:
+        return None
+    ent = {}
+    for (x, y), v in b.entries.items():
+        factor = (si[x] - si[y]) * (sj[x] - sj[y])
+        if factor:
+            ent[(x, y)] = factor * v
+    return _canonical(ent)
+
+
 def characterization_residual(ctx: HypercubeContext, b: ExactMatrix, i, j) -> ExactMatrix:
     """s_i s_j B - s_i B s_j - s_j B s_i + B s_i s_j with s = alpha_star.
 
-    Computed as [s_i, [s_j, B]]: the diagonal s_i and s_j commute, so the
-    nested commutator expands to the same four terms, and each commutator,
-    its diagonal on the left, is one pass over the entries, with no product.
-    Entry (x, y) equals (s_i[x,x] - s_i[y,y]) (s_j[x,x] - s_j[y,y]) B[x,y],
-    so the residual vanishes for every pair i < j exactly when the support
-    of B lies inside {equal or adjacent}.
+    That is [s_i, [s_j, B]], whose entry (x, y) is (s_i[x] - s_i[y]) (s_j[x] -
+    s_j[y]) B[x, y]: one pass over B, and zero for every pair i < j exactly
+    when the support of B lies inside {equal or adjacent}.
     """
     if not 1 <= i < j <= ctx.d:
         raise ValueError(f"need 1 <= i < j <= {ctx.d}, got ({i}, {j})")
     if b.rows != ctx.n or b.cols != ctx.n:
         raise ValueError("matrix does not match the cube size")
-    return commutator(alpha_star(ctx, i), commutator(alpha_star(ctx, j), b))
+    ent = _residual_entries(b, _star_diagonal(ctx, i), _star_diagonal(ctx, j))
+    if ent is None:
+        raise ValueError(f"alpha_star_{i} or alpha_star_{j} is not diagonal")
+    return ExactMatrix._raw(ctx.n, ctx.n, ent)
 
 
 def restriction_to_E1(ctx: HypercubeContext, b: ExactMatrix) -> ExactMatrix:
@@ -265,21 +321,15 @@ def restriction_to_E1(ctx: HypercubeContext, b: ExactMatrix) -> ExactMatrix:
     """
     if b.rows != ctx.n or b.cols != ctx.n:
         raise ValueError("matrix does not match the cube size")
-    comm = commutator(b, cube_adjacency(ctx))
-    if comm.entries:
-        pos = min(comm.entries)
-        raise ValueError(
-            f"matrix does not commute with the cube adjacency (entry {pos})"
-        )
-    singles = [scaled_eigenvector(ctx, 1 << (t - 1)) for t in range(1, ctx.d + 1)]
-    ent = {}
-    for s in range(1, ctx.d + 1):
-        image = b.matvec(singles[s - 1])
-        for t in range(1, ctx.d + 1):
-            value = exact_quotient(singles[t - 1].inner(image), ctx.n)
-            if value:
-                ent[(t - 1, s - 1)] = value
-    return ExactMatrix._raw(ctx.d, ctx.d, ent)
+    comm = _bracket(_offset_form(b), _offset_form(cube_adjacency(ctx)))
+    if comm:
+        pos = min((x, x ^ a) for a, row in comm.items() for x, v in enumerate(row) if v)
+        raise ValueError(f"matrix does not commute with the cube adjacency (entry {pos})")
+    singles = [scaled_eigenvector(ctx, 1 << t) for t in range(ctx.d)]
+    return ExactMatrix(ctx.d, ctx.d, {
+        (t, s): exact_quotient(wt.inner(image), ctx.n)
+        for s, image in enumerate(map(b.matvec, singles)) for t, wt in enumerate(singles)
+    })
 
 
 def bij_action_on_wS(ctx: HypercubeContext, i, j, mask):
@@ -409,11 +459,11 @@ def _formula_lanes(ctx):
     return lanes, lambda w, bit: (w & ~lanes[bit]) << bit | (w & lanes[bit]) >> bit
 
 
-def _offset_signs(m, n, offsets, u):
+def _offset_signs(m, offsets, u):
     """Lanes N_a by offset a, if m's entries are exactly m[x, x ^ a] = u (-1)^N_a[x]."""
-    rows = {a: [m.entries.get((x, x ^ a)) for x in range(n)] for a in offsets}
-    ok = len(m.entries) == n * len(rows) and set().union(*rows.values()) <= {u, -u}
-    return {a: _pack([v != u for v in r]) for a, r in rows.items()} if ok else None
+    form = _offset_form(m)
+    ok = form.keys() == set(offsets) and set().union(*form.values()) <= {u, -u}
+    return {a: _pack([v != u for v in form[a]]) for a in offsets} if ok else None
 
 
 def _random_fraction(rng):
@@ -425,12 +475,11 @@ def _random_support_matrix(n, positions, rng):
     return ExactMatrix._raw(n, n, ent)
 
 
-def _residual_factor(ctx, i, j, x, y):
-    """Entry (x, y) of the (i, j) residual divided by B[x, y], from the bits.
+def _residual_factor(bi, bj, x, y):
+    """Entry (x, y) of the (i, j) residual divided by B[x, y], from bits bi, bj.
 
     It is 4 s_i[x] s_j[x] when x and y differ in both coordinates, else 0.
     """
-    bi, bj = ctx.bit(i), ctx.bit(j)
     if (x ^ y) & bi and (x ^ y) & bj:
         return 4 if (not x & bi) == (not x & bj) else -4
     return 0
@@ -461,14 +510,16 @@ def characterization_cases(check, ctx, g, rng, cases):
     nonzero at exactly that entry.  Draws ``cases`` matrices per direction;
     the planted pairs are drawn uniformly by rejection.
     """
+    if g.n != ctx.n:
+        raise ValueError("graph does not match the cube size")
     positions = support_positions(g)
     pairs = coordinate_pairs(ctx.d)
+    s = {k: _star_diagonal(ctx, k) for k in range(1, ctx.d + 1)}
     for case in range(cases):
         b = _random_support_matrix(g.n, positions, rng)
         for i, j in pairs:
-            residual = characterization_residual(ctx, b, i, j)
             check.require(
-                not residual.entries,
+                _residual_entries(b, s[i], s[j]) == {},
                 "supported case {}: residual ({},{}) is nonzero", case, i, j
             )
     if not pairs:
@@ -481,7 +532,7 @@ def characterization_cases(check, ctx, g, rng, cases):
         b = ExactMatrix._raw(g.n, g.n, {**b.entries, (x, y): planted})
         i, j = ctx.coords_of(x ^ y)[:2]
         got = characterization_residual(ctx, b, i, j)[x, y]
-        expect = _residual_factor(ctx, i, j, x, y) * planted
+        expect = _residual_factor(ctx.bit(i), ctx.bit(j), x, y) * planted
         check.require(
             expect != 0 and got == expect,
             "planted case {}: residual ({},{}) at {} is {}, expected {}",
@@ -497,26 +548,27 @@ def _coordinate_matrices(ctx):
 
 def _group_alpha(check, ctx, g, rng):
     d, n = ctx.d, ctx.n
-    ident = ExactMatrix.identity(n)
+    ident = {0: [1] * n}
     alphas, stars = _coordinate_matrices(ctx)
+    fa, fs = ({i: _offset_form(m) for i, m in ms.items()} for ms in (alphas, stars))
     for i in range(1, d + 1):
-        check.require(alphas[i] @ alphas[i] == ident, "alpha_{}^2 != I", i)
-        check.require(stars[i] @ stars[i] == ident, "alpha_star_{}^2 != I", i)
+        check.require(_form_product(fa[i], fa[i]) == ident, "alpha_{}^2 != I", i)
+        check.require(_form_product(fs[i], fs[i]) == ident, "alpha_star_{}^2 != I", i)
         chain = alpha_via_kron(ctx, i)
         check.require(chain == alphas[i], "alpha_{} != its Kronecker chain", i)
         chain = alpha_star_via_kron(ctx, i)
         check.require(chain == stars[i], "alpha_star_{} != its Kronecker chain", i)
     for i, j in itertools.product(range(1, d + 1), repeat=2):
-        commute = alphas[i] @ alphas[j] == alphas[j] @ alphas[i]
+        commute = not _bracket(fa[i], fa[j])
         check.require(commute, "alpha_{} and alpha_{} do not commute", i, j)
-        commute = not commutator(stars[i], stars[j]).entries
+        commute = not _bracket(fs[i], fs[j])
         check.require(commute, "alpha_star_{} and alpha_star_{} do not commute", i, j)
         # alpha_i anticommutes with alpha_star_i and commutes with the others
         if i == j:
-            anti = alphas[i] @ stars[j] == -(stars[j] @ alphas[i])
+            anti = not _bracket(fa[i], fs[j], -1)
             check.require(anti, "alpha_{} and alpha_star_{} do not anticommute", i, j)
         else:
-            commute = not commutator(stars[j], alphas[i]).entries
+            commute = not _bracket(fa[i], fs[j])
             check.require(commute, "alpha_{} and alpha_star_{} do not commute", i, j)
     total = sum(alphas.values(), ExactMatrix.zeros(n))
     check.require(total == adjacency(g), "sum of alpha_i is not the adjacency matrix")
@@ -527,9 +579,9 @@ def _group_eigenbasis(check, ctx, g, rng):
     alphas, stars = _coordinate_matrices(ctx)
     formula, flip = _formula_lanes(ctx)
     full, bits = (1 << n) - 1, [ctx.bit(i) for i in alphas]
-    flips = {i: _offset_signs(alphas[i], n, [b], 1) for i, b in enumerate(bits, 1)}
-    diagonals = {i: _offset_signs(m, n, [0], 1) for i, m in stars.items()}
-    is_sum = _offset_signs(cube_adjacency(ctx), n, bits, 1) == dict.fromkeys(bits, 0)
+    flips = {i: _offset_signs(alphas[i], [b], 1) for i, b in enumerate(bits, 1)}
+    diagonals = {i: _offset_signs(m, [0], 1) for i, m in stars.items()}
+    is_sum = _offset_signs(cube_adjacency(ctx), bits, 1) == dict.fromkeys(bits, 0)
     masks = range(n)
     if d > _EXHAUSTIVE_D:
         check.sampled = True
@@ -562,6 +614,7 @@ def _group_characterization(check, ctx, g, rng):
     # residual route vs entrywise product formula, on unrestricted matrices
     n = ctx.n
     pairs = coordinate_pairs(ctx.d)
+    s = {k: _star_diagonal(ctx, k) for k in range(1, ctx.d + 1)}
     exhaustive = ctx.d <= _EXHAUSTIVE_D
     # above the cap: a sample of pairs per matrix, and no b_pq block
     check.sampled = not exhaustive
@@ -570,23 +623,19 @@ def _group_characterization(check, ctx, g, rng):
         b = _random_support_matrix(n, cells, rng)
         chosen = pairs if exhaustive else rng.sample(pairs, _CHAR_SAMPLE)
         for i, j in chosen:
-            residual = characterization_residual(ctx, b, i, j)
-            formula = {}
-            for (x, y), value in b.entries.items():
-                product = _residual_factor(ctx, i, j, x, y) * value
-                if product:
-                    formula[(x, y)] = product
+            bi, bj = ctx.bit(i), ctx.bit(j)
+            formula = {(x, y): f * v for (x, y), v in b.entries.items()
+                       if (f := _residual_factor(bi, bj, x, y))}
             check.require(
-                residual.entries == formula,
+                _residual_entries(b, s[i], s[j]) == formula,
                 "residual ({},{}) disagrees with the entrywise formula", i, j
             )
     if exhaustive:
         for p, q in pairs:
             b = b_matrix(ctx, p, q)
             for i, j in pairs:
-                residual = characterization_residual(ctx, b, i, j)
                 check.require(
-                    not residual.entries,
+                    _residual_entries(b, s[i], s[j]) == {},
                     "residual ({},{}) of b_{}{} is nonzero", i, j, p, q
                 )
 
@@ -617,33 +666,34 @@ def _group_sym_basis(check, ctx, g, rng):
 
 def _group_antisym_basis(check, ctx, g, rng):
     d, n = ctx.d, ctx.n
-    adj = cube_adjacency(ctx)
+    adj = _offset_form(cube_adjacency(ctx))
     alphas, stars = _coordinate_matrices(ctx)
+    fa, fs = ({i: _offset_form(m) for i, m in ms.items()} for ms in (alphas, stars))
     pairs = coordinate_pairs(d)
     mats = {}
     for i, j in pairs:
         b = mats[(i, j)] = b_matrix(ctx, i, j)
-        product = (stars[i] @ stars[j] @ (alphas[i] - alphas[j])).scale(2)
+        fb = _offset_form(b)
+        twice = _form_sum((2, fa[i]), (-2, fa[j]))
         check.require(
-            b == product, "b_{0}{1} != 2 s_{0} s_{1} (alpha_{0} - alpha_{1})", i, j
+            fb == _form_product(_form_product(fs[i], fs[j]), twice),
+            "b_{0}{1} != 2 s_{0} s_{1} (alpha_{0} - alpha_{1})", i, j
         )
         check.require(b.transpose() == -b, "b_{}{} is not antisymmetric", i, j)
         # both stay: adj is the cube's, while is_alike tests the graph verify_all got
-        commutes = not commutator(b, adj).entries
+        commutes = not _bracket(fb, adj)
         check.require(commutes, "b_{}{} does not commute with the adjacency", i, j)
         verdict = is_alike(g, b)
         check.require(
             verdict, "b_{}{} fails membership ({})", i, j, verdict.failed_condition
         )
         for ell in range(1, d + 1):
-            lhs = b @ alphas[ell]
-            rhs = alphas[ell] @ b
-            ok = lhs == (-rhs if ell in (i, j) else rhs)
+            ok = not _bracket(fb, fa[ell], -1 if ell in (i, j) else 1)
             check.require(ok, "b_{}{} sign relation with alpha_{} fails", i, j, ell)
     formula, flip = _formula_lanes(ctx)
     full, signs = (1 << n) - 1, [_sign_bits(check, ctx, mask) for mask in range(n)]
     for (i, j), b in mats.items():
-        lanes = _offset_signs(b, n, [ctx.bit(i), ctx.bit(j)], 2)
+        lanes = _offset_signs(b, [ctx.bit(i), ctx.bit(j)], 2)
         for mask, w in enumerate(signs):
             coeff, target = bij_action_on_wS(ctx, i, j, mask)
             ok = lanes is not None and coeff in (0, 4, -4)

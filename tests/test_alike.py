@@ -16,8 +16,12 @@ from alike.alike import (
     AlikeCheck,
     GroupResult,
     VerificationReport,
+    _bracket,
     _distant_pair_draws,
+    _form_product,
+    _form_sum,
     _formula_lanes,
+    _offset_form,
     _offset_signs,
     _random_support_matrix,
     _sign_bits,
@@ -521,6 +525,24 @@ def test_residual_index_validation():
             characterization_residual(ctx, b, *bad)
 
 
+def test_residual_rejects_an_alpha_star_that_is_not_diagonal(monkeypatch):
+    original = alike_module.alpha_star
+
+    def patched(ctx, i):
+        return _with_entries(original(ctx, i), {(0, 1): 1})
+
+    monkeypatch.setattr(alike_module, "alpha_star", patched)
+    _, ctx = hypercube(2)
+    with pytest.raises(ValueError, match="not diagonal"):
+        characterization_residual(ctx, ExactMatrix.identity(4), 1, 2)
+
+
+def test_characterization_rejects_a_graph_of_another_size():
+    _, ctx = hypercube(3)
+    with pytest.raises(ValueError, match="cube size"):
+        verify_all(ctx, groups=["characterization"], graph=hypercube(2)[0])
+
+
 def test_residual_matches_entrywise_formula():
     rng = random.Random(42)
     _, ctx = hypercube(3)
@@ -728,7 +750,7 @@ def test_packed_actions_match_matvec(d):
             assert w ^ formula[bit] == _lanes_of(alpha_star(ctx, i).matvec(vec), 1)
         for i, j in coordinate_pairs(d):
             b = b_matrix(ctx, i, j)
-            lanes = _offset_signs(b, ctx.n, [ctx.bit(i), ctx.bit(j)], 2)
+            lanes = _offset_signs(b, [ctx.bit(i), ctx.bit(j)], 2)
             ti, tj = (flip(w, a) ^ t for a, t in lanes.items())
             image = b.matvec(vec)
             for x in range(ctx.n):
@@ -738,13 +760,87 @@ def test_packed_actions_match_matvec(d):
 def test_offset_signs_reject_another_form():
     _, ctx = hypercube(2)
     b = b_matrix(ctx, 1, 2)
-    assert _offset_signs(b, 4, [1, 2], 2) == {1: 0b0110, 2: 0b1001}
-    assert _offset_signs(b, 4, [1, 2], 1) is None
-    assert _offset_signs(b, 4, [1], 2) is None
+    assert _offset_signs(b, [1, 2], 2) == {1: 0b0110, 2: 0b1001}
+    assert _offset_signs(b, [1, 2], 1) is None
+    assert _offset_signs(b, [1], 2) is None
     extra = ExactMatrix(4, 4, {**b.entries, (0, 0): 2})
-    assert _offset_signs(extra, 4, [1, 2], 2) is None
+    assert _offset_signs(extra, [1, 2], 2) is None
     missing = ExactMatrix(4, 4, {k: v for k, v in b.entries.items() if k != (0, 1)})
-    assert _offset_signs(missing, 4, [1, 2], 2) is None
+    assert _offset_signs(missing, [1, 2], 2) is None
+
+
+# -- XOR-offset forms ---------------------------------------------------------------
+
+
+def _flips(n, offsets, sign=1):
+    """sum over offsets a of sign^k P_a, k the position of a: P_a[x, x ^ a] = 1."""
+    return ExactMatrix(
+        n, n, {(x, x ^ a): sign**k for k, a in enumerate(offsets) for x in range(n)}
+    )
+
+
+def _sparse_operands(d, kind, seed):
+    """Seeded pairs of sparse 2^d x 2^d matrices of ints or Fractions.
+
+    Values +-1, +-2 or their halves, on n to 2n cells up to d = 4, so that
+    products often cancel in a cell; fewer cells above, where every offset
+    of one form meets every offset of the other.
+    """
+    rng = random.Random(f"{seed}:{d}:{kind.__name__}")
+    n = 1 << d
+    low, high = (n, 2 * n) if d <= 4 else (n // 4, n // 2)
+
+    def value():
+        v = rng.choice([-2, -1, 1, 2])
+        return v if kind is int else Fraction(v, 2)
+
+    def sparse():
+        count = rng.randint(low, high)
+        cells = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+        return ExactMatrix(n, n, {cell: value() for cell in cells})
+
+    return [(sparse(), sparse()) for _ in range(16)]
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_offset_product_matches_the_sparse_product(d, kind):
+    # the kernel against generic sparse @, + and scale, with no offset shared
+    cancelled = 0
+    for a, b in _sparse_operands(d, kind, 14):
+        fa, fb = _offset_form(a), _offset_form(b)
+        product = a @ b
+        assert _form_product(fa, fb) == _offset_form(product)
+        assert _form_sum((1, fa), (-2, fb)) == _offset_form(a - b.scale(2))
+        for sign in (1, -1):
+            expected = product - (b @ a).scale(sign)
+            assert _bracket(fa, fb, sign) == _offset_form(expected)
+        terms = {(x, z) for x, y in a.entries for y2, z in b.entries if y == y2}
+        cancelled += len(terms) - len(product.entries)
+    # the dense draws of d = 2..4 cancel somewhere; the pair below at every d
+    assert cancelled > 0 or d not in (2, 3, 4)
+    # (P_1 + I)(P_1 - I) = P_1^2 - I = 0: every offset of the product cancels
+    a, b = _flips(1 << d, [1, 0]), _flips(1 << d, [1, 0], -1)
+    assert a @ b == ExactMatrix.zeros(1 << d)
+    assert _form_product(_offset_form(a), _offset_form(b)) == {}
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_offset_forms_are_equal_exactly_when_the_matrices_are(d, kind):
+    for a, b in _sparse_operands(d, kind, 15):
+        changed = {(0, 0): a[0, 0] + 1}
+        for other in (b, a, ExactMatrix(a.rows, a.cols, {**a.entries, **changed})):
+            assert (_offset_form(a) == _offset_form(other)) is (a == other)
+
+
+def test_offset_form_reads_each_entry_at_its_offset():
+    b = b_matrix(hypercube(2)[1], 1, 2)
+    assert _offset_form(b) == {1: [2, -2, -2, 2], 2: [-2, 2, 2, -2]}
+    assert _offset_form(ExactMatrix.zeros(4)) == {}
+    assert _offset_form(ExactMatrix(4, 4, {(3, 0): Fraction(1, 2)})) == {
+        3: [0, 0, 0, Fraction(1, 2)]
+    }
 
 
 # -- verification driver ----------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alike.alike import characterization_residual
 from alike.exactlinalg import (
     ExactMatrix,
     ExactVector,
@@ -18,6 +19,7 @@ from alike.exactlinalg import (
     unvectorize,
     vectorize,
 )
+from alike.hypercube import hypercube
 
 FLIP = ExactMatrix.from_rows([[0, 1], [1, 0]])
 
@@ -527,11 +529,18 @@ def test_arithmetic_results_hold_no_integral_fraction(a, data):
     diag = ExactMatrix(n, n, {(i, i): data.draw(_nonzero) for i in range(n)})
     u, v = vector(scalars(n)), vector(scalars(n))
     c = data.draw(_nonzero)
+    q2 = hypercube(2)[1]
     results = [
         a + same, a - same, a.scale(c), a @ right, a @ diag, diag @ right,
         kron(a, right), a.matvec(u), u + v, u - v, u.scale(c),
+        # a padded to 4 x 4, scaled cell by cell by 0 or +-4
+        characterization_residual(q2, ExactMatrix(4, 4, a.entries), 1, 2),
     ]
     for result in results:
         assert all(type(x) is int or x.denominator > 1 for x in result.entries.values())
     halved = ExactMatrix.identity(1).scale(2).scale(Fraction(1, 2))
     assert type(halved.entries[(0, 0)]) is int
+    # the residual scales (0, 3) by (1 - -1)(1 - -1) = 4: 1/2 * 4 is the int 2
+    half = ExactMatrix(4, 4, {(0, 3): Fraction(1, 2)})
+    residual = characterization_residual(q2, half, 1, 2).entries
+    assert residual == {(0, 3): 2} and type(residual[(0, 3)]) is int
