@@ -805,7 +805,7 @@ def _sparse_operands(d, kind, seed):
 @pytest.mark.parametrize("kind", [int, Fraction])
 @pytest.mark.parametrize("d", range(1, 7))
 def test_offset_product_matches_the_sparse_product(d, kind):
-    # the kernel against generic sparse @, + and scale, with no offset shared
+    # the kernel against the generic sparse @, - and scale
     cancelled = 0
     for a, b in _sparse_operands(d, kind, 14):
         fa, fb = _offset_form(a), _offset_form(b)
