@@ -21,6 +21,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from operator import add, itemgetter, mul, sub
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -49,6 +50,7 @@ from .hypercube import (
     hypercube,
     idempotent_report,
     scaled_eigenvector,
+    walsh_hadamard,
 )
 
 DEFAULT_BRUTE_CAP = 64
@@ -260,16 +262,22 @@ def _form_sum(*terms):
     out = {}
     for c, form in terms:
         for a, row in form.items():
-            out[a] = [p + c * u for p, u in zip(out.get(a, itertools.repeat(0)), row)]
+            if c != 1:
+                row = [c * u for u in row]
+            prev = out.get(a)
+            out[a] = row if prev is None else list(map(add, prev, row))
     return {a: row for a, row in out.items() if any(row)}
 
 
 def _form_product(f, g):
     """Form of the product: (D_a P_a)(D_b P_b) = diag(D_a[x] D_b[x ^ a]) P_{a ^ b}."""
-    return _form_sum(*(
-        (1, {a ^ b: [u * db[x ^ a] for x, u in enumerate(da)]})
-        for a, da in f.items() for b, db in g.items()
-    ))
+    out = {}
+    for a, da in f.items():
+        for b, db in g.items():
+            term = map(mul, da, [db[x ^ a] for x in range(len(da))] if a else db)
+            prev = out.get(a ^ b)
+            out[a ^ b] = list(term) if prev is None else list(map(add, prev, term))
+    return {a: row for a, row in out.items() if any(row)}
 
 
 def _bracket(f, g, sign=1):
@@ -318,18 +326,26 @@ def restriction_to_E1(ctx: HypercubeContext, b: ExactMatrix) -> ExactMatrix:
     Written in the orthonormal basis of singleton sign vectors:
     M[t-1, s-1] = <W_{t}, B W_{s}> / 2^d.  Requires B to commute with the
     cube adjacency so the eigenspace is invariant.
+
+    With B = sum_a D_a P_a and W_s[x ^ a] = W_s[x] W_s[a], the product
+    <W_t, B W_s> is sum_a W_s[a] (H D_a)[e_s ^ e_t], H D_a the Walsh-Hadamard
+    transform of D_a (``walsh_hadamard``): one transform per offset of B.
     """
     if b.rows != ctx.n or b.cols != ctx.n:
         raise ValueError("matrix does not match the cube size")
-    comm = _bracket(_offset_form(b), _offset_form(cube_adjacency(ctx)))
+    form = _offset_form(b)
+    comm = _bracket(form, _offset_form(cube_adjacency(ctx)))
     if comm:
         pos = min((x, x ^ a) for a, row in comm.items() for x, v in enumerate(row) if v)
         raise ValueError(f"matrix does not commute with the cube adjacency (entry {pos})")
-    singles = [scaled_eigenvector(ctx, 1 << t) for t in range(ctx.d)]
-    return ExactMatrix(ctx.d, ctx.d, {
-        (t, s): exact_quotient(wt.inner(image), ctx.n)
-        for s, image in enumerate(map(b.matvec, singles)) for t, wt in enumerate(singles)
-    })
+    spectra = [(a, walsh_hadamard(row)) for a, row in form.items()]
+
+    def entry(t, s):
+        m = 1 << s ^ 1 << t
+        return exact_quotient(sum(-h[m] if a >> s & 1 else h[m] for a, h in spectra), ctx.n)
+
+    d = ctx.d
+    return ExactMatrix(d, d, {(t, s): entry(t, s) for s in range(d) for t in range(d)})
 
 
 def bij_action_on_wS(ctx: HypercubeContext, i, j, mask):
@@ -466,13 +482,32 @@ def _offset_signs(m, offsets, u):
     return {a: _pack([v != u for v in form[a]]) for a in offsets} if ok else None
 
 
-def _random_fraction(rng):
-    return exact_quotient(rng.randint(-6, 6), rng.randint(1, 3))
+#: p / q for p in -6..6 and q in 1..3, one value per pair: a uniform draw from
+#: it is a uniform draw of p and of q.
+_FRACTIONS = tuple(exact_quotient(p, q) for p in range(-6, 7) for q in range(1, 4))
 
 
 def _random_support_matrix(n, positions, rng):
-    ent = {pos: value for pos in positions if (value := _random_fraction(rng))}
-    return ExactMatrix._raw(n, n, ent)
+    positions = list(positions)
+    values = rng.choices(_FRACTIONS, k=len(positions))
+    return ExactMatrix._raw(n, n, {pos: v for pos, v in zip(positions, values) if v})
+
+
+def _residuals_vanish(b, s, pairs):
+    """(i, j, whether the (i, j) residual of b is zero) for each pair i < j.
+
+    Entry (x, y) of the residual is D_i D_j b[x, y], with the differences
+    D_k = s_k[x] - s_k[y] listed once per entry of b; D_k is None where s_k is,
+    and then every residual with k reads nonzero.
+    """
+    xs, ys = (list(map(itemgetter(end), b.entries)) for end in (0, 1))
+    diffs = {
+        k: sk and list(map(sub, map(sk.__getitem__, xs), map(sk.__getitem__, ys)))
+        for k, sk in s.items()
+    }
+    for i, j in pairs:
+        di, dj = diffs[i], diffs[j]
+        yield i, j, di is not None and dj is not None and not any(map(mul, di, dj))
 
 
 def _residual_factor(bi, bj, x, y):
@@ -517,17 +552,16 @@ def characterization_cases(check, ctx, g, rng, cases):
     s = {k: _star_diagonal(ctx, k) for k in range(1, ctx.d + 1)}
     for case in range(cases):
         b = _random_support_matrix(g.n, positions, rng)
-        for i, j in pairs:
+        for i, j, zero in _residuals_vanish(b, s, pairs):
             check.require(
-                _residual_entries(b, s[i], s[j]) == {},
-                "supported case {}: residual ({},{}) is nonzero", case, i, j
+                zero, "supported case {}: residual ({},{}) is nonzero", case, i, j
             )
     if not pairs:
         return
     for case, (x, y) in zip(range(cases), _distant_pair_draws(g, rng)):
         planted = 0
         while not planted:
-            planted = _random_fraction(rng)
+            planted = rng.choice(_FRACTIONS)
         b = _random_support_matrix(g.n, positions, rng)
         b = ExactMatrix._raw(g.n, g.n, {**b.entries, (x, y): planted})
         i, j = ctx.coords_of(x ^ y)[:2]
@@ -632,12 +666,8 @@ def _group_characterization(check, ctx, g, rng):
             )
     if exhaustive:
         for p, q in pairs:
-            b = b_matrix(ctx, p, q)
-            for i, j in pairs:
-                check.require(
-                    _residual_entries(b, s[i], s[j]) == {},
-                    "residual ({},{}) of b_{}{} is nonzero", i, j, p, q
-                )
+            for i, j, zero in _residuals_vanish(b_matrix(ctx, p, q), s, pairs):
+                check.require(zero, "residual ({},{}) of b_{}{} is nonzero", i, j, p, q)
 
 
 def _group_sym_basis(check, ctx, g, rng):
@@ -664,15 +694,29 @@ def _group_sym_basis(check, ctx, g, rng):
     check.require(independent, "symmetric basis is linearly dependent")
 
 
+def _span_dim(mats, cells):
+    """Dimension of the span of a nonempty list of matrices of one shape.
+
+    Matrices whose entries at ``cells`` are independent vectors are
+    independent, so when that small projection has full rank it settles the
+    dimension; only otherwise is the span of the whole matrices made.
+    """
+    projected = [
+        ExactVector(len(cells), [(k, m.entries.get(c, 0)) for k, c in enumerate(cells)])
+        for m in mats
+    ]
+    dim = SubspaceBasis(len(cells), projected).dim
+    return dim if dim == len(mats) else SubspaceBasis.from_matrices(mats).dim
+
+
 def _group_antisym_basis(check, ctx, g, rng):
     d, n = ctx.d, ctx.n
     adj = _offset_form(cube_adjacency(ctx))
     alphas, stars = _coordinate_matrices(ctx)
     fa, fs = ({i: _offset_form(m) for i, m in ms.items()} for ms in (alphas, stars))
     pairs = coordinate_pairs(d)
-    mats = {}
-    for i, j in pairs:
-        b = mats[(i, j)] = b_matrix(ctx, i, j)
+    mats = [b_matrix(ctx, i, j) for i, j in pairs]
+    for (i, j), b in zip(pairs, mats):
         fb = _offset_form(b)
         twice = _form_sum((2, fa[i]), (-2, fa[j]))
         check.require(
@@ -692,7 +736,7 @@ def _group_antisym_basis(check, ctx, g, rng):
             check.require(ok, "b_{}{} sign relation with alpha_{} fails", i, j, ell)
     formula, flip = _formula_lanes(ctx)
     full, signs = (1 << n) - 1, [_sign_bits(check, ctx, mask) for mask in range(n)]
-    for (i, j), b in mats.items():
+    for (i, j), b in zip(pairs, mats):
         lanes = _offset_signs(b, [ctx.bit(i), ctx.bit(j)], 2)
         for mask, w in enumerate(signs):
             coeff, target = bij_action_on_wS(ctx, i, j, mask)
@@ -705,7 +749,11 @@ def _group_antisym_basis(check, ctx, g, rng):
                 ok, "b_{}{} action on mask {} does not match the table", i, j, mask
             )
     if pairs:
-        independent = SubspaceBasis.from_matrices(list(mats.values())).dim == len(pairs)
+        # the entries (x, x ^ e_k) of the rows x = 0, e_1..e_d: on them the b_ij
+        # are independent, because the vectors (s_j(x))_j over those rows span Q^d
+        rows = [0] + [ctx.bit(k) for k in range(1, d + 1)]
+        cells = [(x, x ^ bit) for x in rows for bit in rows[1:]]
+        independent = _span_dim(mats, cells) == len(pairs)
         check.require(independent, "antisymmetric basis is linearly dependent")
 
 

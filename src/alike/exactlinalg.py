@@ -150,22 +150,6 @@ class ExactVector:
         ent = {i: v * c for i, v in self.entries.items()}
         return ExactVector._raw(self.n, _canonical(ent))
 
-    def inner(self, other):
-        """Standard bilinear form <u, v> = sum_i u_i v_i."""
-        if not isinstance(other, ExactVector):
-            raise TypeError("inner product needs two ExactVector operands")
-        if self.n != other.n:
-            raise ValueError("vector length mismatch")
-        a, b = self.entries, other.entries
-        if len(b) < len(a):
-            a, b = b, a
-        total = 0
-        for i, v in a.items():
-            w = b.get(i)
-            if w is not None:
-                total += v * w
-        return total
-
 
 class ExactMatrix:
     """Sparse rows x cols rational matrix; absent entries are zero."""
@@ -398,12 +382,13 @@ def unvectorize(vec: ExactVector, rows: int, cols: int) -> ExactMatrix:
 
 # -- fraction-free elimination ------------------------------------------------
 #
-# Rows are dicts mapping column -> int, kept primitive (gcd 1).  Row
-# combinations use integer cross-multiplication (pc * row - rc * pivot), so no
-# fractions appear until the final normalization to leading-1 reduced echelon
-# form.  Two forward orders, both deterministic, return the same format: the
-# (pivot column, pivot row) pairs in elimination order, each pivot row holding
-# its own pivot column, the pivot columns of later pivots and free columns.
+# Rows are dicts mapping column -> int, kept primitive (gcd 1).  Every row
+# combination is one in-place integer cross-multiplication (``_reduce``:
+# pc * row - rc * pivot), so no fractions appear until the final normalization
+# to leading-1 reduced echelon form; the rows handed in are reduced in place.
+# Two forward orders, both deterministic, return the same format: the (pivot
+# column, pivot row) pairs in elimination order, each pivot row holding its
+# own pivot column, the pivot columns of later pivots and free columns.
 #
 # - ``_eliminate`` (behind ``rank`` and ``nullspace``) picks sparse pivots, to
 #   limit fill-in on the large sparse systems of the solver: the shortest active
@@ -432,27 +417,36 @@ def _int_row(items):
     return row
 
 
-def _combine(pivot, pc, row, rc):
-    out = {}
-    for c, v in row.items():
-        pv = pivot.get(c)
-        nv = pc * v - rc * pv if pv is not None else pc * v
-        if nv:
-            out[c] = nv
-    for c, pv in pivot.items():
-        if c not in row:
-            out[c] = -rc * pv
-    if not out:
-        return out
-    g = 0
-    for v in out.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return out
+def _reduce(row, pivot, col):
+    """row := pc * row - rc * pivot in place, pc and rc the two rows' col entries.
+
+    pc and rc are first divided by their gcd and their signs taken so that
+    pc > 0, so a pivot entry of -1 scales nothing; no rank, kernel or canonical
+    basis reads the sign of a row.  The result is divided by the gcd of its
+    entries, so a primitive row stays primitive.  Entries that cancel are
+    deleted and new ones appended: the key order of a combination built afresh.
+    """
+    pc, rc = pivot[col], row[col]
+    if pc < 0:
+        pc, rc = -pc, -rc
+    g = math.gcd(pc, rc)
     if g > 1:
-        for c in out:
-            out[c] //= g
-    return out
+        pc //= g
+        rc //= g
+    if pc != 1:
+        for c in row:
+            row[c] *= pc
+    get = row.get
+    for c, pv in pivot.items():
+        nv = get(c, 0) - rc * pv
+        if nv:
+            row[c] = nv
+        elif c in row:
+            del row[c]
+    g = math.gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
 
 
 def _echelon_int(rows):
@@ -467,14 +461,10 @@ def _echelon_int(rows):
         col = min(map(min, rows))
         k = next(i for i, row in enumerate(rows) if col in row)
         pivot = rows.pop(k)
-        pc = pivot[col]
-        rest = []
         for row in rows:
             if col in row:
-                row = _combine(pivot, pc, row, row[col])
-            if row:
-                rest.append(row)
-        rows = rest
+                _reduce(row, pivot, col)
+        rows = [row for row in rows if row]
         pivots.append((col, pivot))
     return pivots
 
@@ -490,8 +480,7 @@ def _back_substitute(pivots):
     for col, row in reversed(pivots):
         # a reduced later row holds no other pivot column, so one pass suffices
         for c in [c for c in row if c in done]:
-            other = done[c]
-            row = _combine(other, other[c], row, row[c])
+            _reduce(row, done[c], c)
         done[col] = row
     return [(col, done[col]) for col, _ in pivots]
 
@@ -526,17 +515,17 @@ def _eliminate(rows):
         for c in pivot:
             holders[c].discard(i)
         col = min(pivot, key=lambda c: (len(holders[c]), c))
-        pc = pivot[col]
         for j in tuple(holders[col]):
-            old = rows[j]
-            new = _combine(pivot, pc, old, old[col])
-            for c in old.keys() - new.keys():
-                holders[c].discard(j)
-            for c in new.keys() - old.keys():
-                holders[c].add(j)
-            if new:
-                rows[j] = new
-                heapq.heappush(heap, (len(new), j))
+            row = rows[j]
+            _reduce(row, pivot, col)
+            # only the pivot's columns can enter or leave the row
+            for c in pivot:
+                if c in row:
+                    holders[c].add(j)
+                else:
+                    holders[c].discard(j)
+            if row:
+                heapq.heappush(heap, (len(row), j))
             else:
                 rows[j] = None
         pivots.append((col, pivot))

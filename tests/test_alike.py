@@ -25,6 +25,7 @@ from alike.alike import (
     _offset_signs,
     _random_support_matrix,
     _sign_bits,
+    _span_dim,
     b_matrix,
     bij_action_on_wS,
     characterization_cases,
@@ -695,6 +696,38 @@ def test_restriction_of_antisymmetric_member_is_antisymmetric():
         assert restriction_to_E1(ctx, m).is_antisymmetric()
 
 
+def _restriction_oracle(ctx, b):
+    """<W_t, B W_s> / 2^d from matvec images and entrywise products."""
+    singles = [scaled_eigenvector(ctx, 1 << t) for t in range(ctx.d)]
+    images = [b.matvec(w) for w in singles]
+    return ExactMatrix(ctx.d, ctx.d, {
+        (t, s): Fraction(sum(wt[x] * image[x] for x in range(ctx.n)), ctx.n)
+        for s, image in enumerate(images)
+        for t, wt in enumerate(singles)
+    })
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_walsh_hadamard_restriction_matches_the_matvec_oracle(d):
+    # every b_ij, alpha_i, A, A^2 and I, and seeded rational elements of the
+    # commutant: combinations of the closed-form bases with p/q coefficients
+    g, ctx = hypercube(d)
+    sym, antisym = closed_form_sym_basis(ctx), closed_form_antisym_basis(ctx)
+    rng = random.Random(f"restriction:{d}")
+    def coefficient():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+    zero = ExactMatrix.zeros(ctx.n)
+    mixes = [sum((m.scale(coefficient()) for m in sym + antisym), zero) for _ in range(3)]
+    a = adjacency(g)
+    kinds = set()
+    for b in [*antisym, *sym, a, a @ a, *mixes]:
+        got = restriction_to_E1(ctx, b)
+        assert got == _restriction_oracle(ctx, b)
+        kinds.update(map(type, got.entries.values()))
+    assert kinds == {int, Fraction}
+
+
 # -- closed-form action table --------------------------------------------------------
 
 
@@ -1100,6 +1133,92 @@ def test_antisym_table_rejects_a_vector_that_is_not_plus_minus_one(monkeypatch):
     assert group.witness == "W_1 is not a +-1 vector"
 
 
+def _counting_span_calls(monkeypatch):
+    """Patch SubspaceBasis.from_matrices to record the length of each list."""
+    calls = []
+    original = SubspaceBasis.from_matrices.__func__
+
+    def counted(cls, matrices, shape=None):
+        calls.append(len(matrices))
+        return original(cls, matrices, shape)
+
+    monkeypatch.setattr(SubspaceBasis, "from_matrices", classmethod(counted))
+    return calls
+
+
+def _cells_of_rows(ctx):
+    rows = [0] + [ctx.bit(k) for k in range(1, ctx.d + 1)]
+    return [(x, x ^ bit) for x in rows for bit in rows[1:]]
+
+
+def test_span_dim_on_cells_matches_the_full_span(monkeypatch):
+    # independent on the cells settles it; anything else falls back to the
+    # full span, whose dimension then is the answer
+    calls = _counting_span_calls(monkeypatch)
+    _, ctx = hypercube(3)
+    n, cells = ctx.n, _cells_of_rows(ctx)
+    rng = random.Random("span-dim")
+
+    def full_dim(mats):
+        return SubspaceBasis(n * n, [vectorize(m) for m in mats]).dim
+
+    b12, b13, b23 = closed_form_antisym_basis(ctx)
+    off_cells = ExactMatrix(n, n, {(3, 5): 1, (6, 7): -2})
+    lists = [
+        ([b12, b13, b23], False),
+        ([b12, b13, b23, b12.scale(2) - b23], True),  # dependent
+        ([b12, off_cells], True),  # independent, but not on the cells
+        ([off_cells, off_cells.scale(Fraction(1, 3))], True),  # dependent, zero on them
+    ]
+    for _ in range(20):  # seeded sparse lists, half of them made dependent
+        mats = [
+            ExactMatrix(n, n, {(rng.randrange(n), rng.randrange(n)): rng.randint(-3, 3)
+                               for _ in range(4)})
+            for _ in range(3)
+        ]
+        if rng.random() < 0.5:
+            mats.append(mats[0] + mats[-1])
+        lists.append((mats, None))
+    for mats, falls_back in lists:
+        before = len(calls)
+        assert _span_dim(mats, cells) == full_dim(mats)
+        if falls_back is not None:
+            assert (len(calls) > before) is falls_back
+
+
+def test_antisym_basis_falls_back_on_a_dependent_list(monkeypatch):
+    # a pair listed twice gives b_12 twice: dependent on the cells too, so the
+    # full span decides, and fails with the dependence witness
+    calls = _counting_span_calls(monkeypatch)
+    pairs = alike_module.coordinate_pairs
+    monkeypatch.setattr(alike_module, "coordinate_pairs", lambda d: pairs(d) + [(1, 2)])
+    _, ctx = hypercube(3)
+    group = verify_all(ctx, groups=["antisym_basis"], seed=0).group("antisym_basis")
+    # 4 listed pairs of 7 checks each, then 4 * 8 table cases
+    assert (group.passed, group.checks) == (False, 4 * 7 + 4 * 8)
+    assert group.witness == "antisymmetric basis is linearly dependent"
+    assert calls == [4]
+
+
+def test_random_support_matrices_draw_from_the_39_values():
+    # one value per (p, q), p in -6..6 and q in 1..3: the distribution of
+    # drawing p and q uniformly and dividing
+    pairs = collections.Counter(
+        Fraction(p, q) for p in range(-6, 7) for q in range(1, 4)
+    )
+    assert collections.Counter(alike_module._FRACTIONS) == pairs
+    assert len(alike_module._FRACTIONS) == 39
+    g, ctx = hypercube(3)
+    positions = support_positions(g)
+    rng = random.Random(0)
+    drawn = set()
+    for _ in range(100):
+        m = _random_support_matrix(ctx.n, positions, rng)
+        assert set(m.entries) <= set(positions)
+        drawn.update(m.entries.values())
+    assert drawn == set(pairs) - {0}
+
+
 def test_eigenbasis_sampled_branch(monkeypatch):
     # the sample must stay at most 2^d, or the draw never ends
     monkeypatch.setattr(alike_module, "_EXHAUSTIVE_D", 3)
@@ -1146,6 +1265,11 @@ def _with_entries(m, entries):
     return ExactMatrix(m.rows, m.cols, {**m.entries, **entries})
 
 
+def _moved_entry(m):
+    kept = {k: v for k, v in m.entries.items() if k != (0, 1)}
+    return ExactMatrix(m.rows, m.cols, {**kept, (0, 6): m[0, 1]})
+
+
 def _drop_edge_01(m):
     kept = {k: v for k, v in m.entries.items() if k not in ((0, 1), (1, 0))}
     return ExactMatrix(m.rows, m.cols, kept)
@@ -1179,6 +1303,17 @@ STRUCTURE_FAULTS = {
     "alpha_star_1-off-diagonal": (
         "alpha_star", 1, lambda m: _with_entries(m, {(0, 1): 1}),
         "characterization", (False, 0, "supported case 0: residual (1,2) is nonzero"),
+    ),
+    # the difference route: D_2 is 1 at every edge (0, e_k) with k != 2
+    "alpha_star_2-entry-2": (
+        "alpha_star", 2, lambda m: _with_entries(m, {(0, 0): 2}),
+        "characterization", (False, 0, "supported case 0: residual (1,2) is nonzero"),
+    ),
+    # 0 ^ 6 flips coordinates 2 and 3: 150 supported, 50 planted and 15
+    # formula checks pass, then the pairs (1,2) and (1,3) of b_12
+    "b_12-entry-moved-to-a-distant-cell": (
+        "b_matrix", (1, 2), _moved_entry,
+        "characterization", (False, 217, "residual (2,3) of b_12 is nonzero"),
     ),
 }
 
@@ -1269,8 +1404,8 @@ def test_package_exports():
 
 
 #: Defined in the library but called only from outside it: the per-layer
-#: tracer in perfbench wraps both by name.
-CALLED_FROM_OUTSIDE = {"contains", "rank"}
+#: tracer in perfbench wraps each by name.
+CALLED_FROM_OUTSIDE = {"contains", "matvec", "rank"}
 
 
 def _names_read(node):

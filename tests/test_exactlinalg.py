@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,10 @@ from alike.exactlinalg import (
     ExactMatrix,
     ExactVector,
     SubspaceBasis,
+    _back_substitute,
+    _echelon_int,
+    _eliminate,
+    _int_rows_of_matrix,
     commutator,
     exact_quotient,
     kron,
@@ -298,6 +303,35 @@ def test_engine_agrees_with_naive_dense_elimination():
             assert not m.matvec(vec).entries
             assert engine_kernel.contains(vec)
         assert span_equal(engine_kernel, SubspaceBasis(ncols, kernel))
+
+
+@pytest.mark.parametrize("deficient", [False, True])
+def test_in_place_elimination_matches_the_dense_oracle_on_overdetermined_systems(deficient):
+    # 40 x 20 int systems with entries -5..5, so most pivots are not +-1 and the
+    # row update divides by gcds; the deficient ones get five columns that are
+    # sums of two others, a five-dimensional kernel
+    rng = random.Random(f"overdetermined:{deficient}")
+    for _ in range(3):
+        dense = [[rng.randint(-5, 5) for _ in range(20)] for _ in range(40)]
+        if deficient:
+            for row in dense:
+                row[15:] = [row[k] + row[k + 5] for k in range(5)]
+        m = ExactMatrix.from_rows(dense)
+        vectors = [vector(row) for row in dense]
+        before = dict(m.entries), [dict(v.entries) for v in vectors]
+        oracle_rank, kernel = naive_kernel(m)
+        assert rank(m) == oracle_rank == 20 - 5 * deficient
+        assert span_equal(nullspace(m), SubspaceBasis(20, kernel))
+        pivot_cols, reduced = naive_rref(dense)
+        basis = SubspaceBasis(20, vectors)
+        assert basis.pivots == tuple(pivot_cols)
+        assert basis.vectors == tuple(vector(row) for row in reduced)
+        # the elimination reduces rows of its own, never the caller's entries
+        assert (m.entries, [v.entries for v in vectors]) == before
+        # and every row it returns stays primitive
+        for forward in (_eliminate, _echelon_int):
+            reduced_rows = _back_substitute(forward(_int_rows_of_matrix(m)))
+            assert {math.gcd(*row.values()) for _, row in reduced_rows} == {1}
 
 
 # -- subspace bases -------------------------------------------------------------
