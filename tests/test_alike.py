@@ -714,6 +714,7 @@ def test_walsh_hadamard_restriction_matches_the_matvec_oracle(d):
     g, ctx = hypercube(d)
     sym, antisym = closed_form_sym_basis(ctx), closed_form_antisym_basis(ctx)
     rng = random.Random(f"restriction:{d}")
+
     def coefficient():
         return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
 
