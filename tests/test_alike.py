@@ -374,6 +374,84 @@ def test_is_alike_dimension_mismatch():
         is_alike(g, ExactMatrix.identity(3))
 
 
+def membership_oracle(g, b):
+    # the smallest nonzero cell of B A - A B, else the first off-support entry
+    a = adjacency(g)
+    diff = (b @ a - a @ b).entries
+    if diff:
+        pos = min(diff)
+        return AlikeCheck(False, "commute", pos, diff[pos])
+    for (x, y), v in sorted(b.entries.items()):
+        if x != y and not g.has_edge(x, y):
+            return AlikeCheck(False, "support", (x, y), v)
+    return AlikeCheck(True)
+
+
+def membership_graph(rng):
+    n = rng.randint(1, 9)
+    kind = rng.choice(["edgeless", "sparse", "dense", "complete", "disconnected"])
+    if kind == "edgeless":
+        return Graph(n, [])
+    if kind == "complete":
+        return Graph(n, list(itertools.combinations(range(n), 2)))
+    if kind == "disconnected":
+        # two random parts with no edge between them
+        cut = rng.randint(1, max(1, n - 1))
+        parts = (range(cut), range(cut, n))
+        edges = [e for part in parts for e in itertools.combinations(part, 2)]
+        return Graph(n, [e for e in edges if rng.random() < 0.6])
+    p = 0.25 if kind == "sparse" else 0.75
+    return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+def membership_operands(rng, g):
+    n = g.n
+    if rng.random() < 0.5:
+        values = [-2, -1, 1, 2, 3]
+    else:
+        values = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3) if p]
+
+    def draw(cells):
+        return ExactMatrix(n, n, {cell: rng.choice(values) for cell in cells})
+
+    kind = rng.choice(["diagonal", "constant", "dense", "support", "polynomial"])
+    if kind == "diagonal":
+        return draw([(x, x) for x in range(n) if rng.random() < 0.8])
+    if kind == "constant":
+        return ExactMatrix.identity(n).scale(rng.choice(values))
+    if kind == "dense":
+        return draw([(x, y) for x in range(n) for y in range(n) if rng.random() < 0.6])
+    if kind == "support":
+        return draw([cell for cell in support_positions(g) if rng.random() < 0.7])
+    # c0 I + c1 A + c2 A^2 commutes with A; off the support only through A^2
+    a = adjacency(g)
+    c0, c1, c2 = (rng.choice(values + [0]) for _ in range(3))
+    return ExactMatrix.identity(n).scale(c0) + a.scale(c1) + (a @ a).scale(c2)
+
+
+def test_is_alike_matches_the_product_oracle():
+    rng = random.Random("membership")
+    cases = []
+    for _ in range(2400):
+        g = membership_graph(rng)
+        cases.append((g, membership_operands(rng, g)))
+    for d in range(1, 5):
+        g, ctx = hypercube(d)
+        stars = [alpha_star(ctx, k) for k in range(1, d + 1)]
+        cases += [(g, b) for b in [ExactMatrix.identity(ctx.n)] + stars]
+    outcomes = collections.Counter()
+    for g, b in cases:
+        verdict, expected = is_alike(g, b), membership_oracle(g, b)
+        assert verdict == expected, (g.n, sorted(g.edges), b.entries)
+        assert type(verdict.value) is type(expected.value)
+        outcomes[verdict.failed_condition, type(verdict.value)] += 1
+    # every outcome is reached, each failure with int and Fraction values
+    assert set(outcomes) == {
+        (None, type(None)),
+        *itertools.product(["commute", "support"], [int, Fraction]),
+    }
+
+
 # -- closed-form bases ----------------------------------------------------------------
 
 
