@@ -12,7 +12,6 @@ from .exactlinalg import (
     ExactMatrix,
     ExactVector,
     SubspaceBasis,
-    commutator,
     kron,
     nullspace,
     rank,
@@ -77,7 +76,6 @@ __all__ = [
     "characterization_residual",
     "closed_form_antisym_basis",
     "closed_form_sym_basis",
-    "commutator",
     "cube_adjacency",
     "eigen_data",
     "graph_from_dict",

@@ -31,7 +31,7 @@ from .exactlinalg import (
     ExactVector,
     SubspaceBasis,
     _canonical,
-    commutator,
+    _rat,
     exact_quotient,
     nullspace,
     span_equal,
@@ -184,10 +184,11 @@ def is_alike(g: Graph, b: ExactMatrix) -> AlikeCheck:
     """Check both membership conditions; report the first violated entry."""
     if b.rows != g.n or b.cols != g.n:
         raise ValueError(f"matrix is {b.rows}x{b.cols}, graph has {g.n} vertices")
-    comm = commutator(b, adjacency(g))
-    if comm.entries:
-        pos = min(comm.entries)
-        return AlikeCheck(False, "commute", pos, comm.entries[pos])
+    a = adjacency(g)
+    ba, ab = (b @ a).entries, (a @ b).entries
+    if ba != ab:
+        pos = min(k for k in ba.keys() | ab.keys() if ba.get(k, 0) != ab.get(k, 0))
+        return AlikeCheck(False, "commute", pos, _rat(ba.get(pos, 0) - ab.get(pos, 0)))
     for (x, y), value in sorted(b.entries.items()):
         if x != y and not g.has_edge(x, y):
             return AlikeCheck(False, "support", (x, y), value)
@@ -287,8 +288,8 @@ def _bracket(f, g, sign=1):
 
 def _star_diagonal(ctx, i):
     """The diagonal of the real alpha_star_i as a list; None if it is not diagonal."""
-    diag = alpha_star(ctx, i)._diagonal_values()
-    return None if diag is None else [diag.get(x, 0) for x in range(ctx.n)]
+    form = _offset_form(alpha_star(ctx, i))
+    return None if form.keys() - {0} else form.get(0, [0] * ctx.n)
 
 
 def _residual_entries(b, si, sj):

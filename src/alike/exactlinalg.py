@@ -9,9 +9,6 @@ one pivot-row format, and one back-substitution for both.  Entries are
 elimination routines store an integral value as an ``int``, so integer
 matrices never pay for ``Fraction`` arithmetic.  No floating point anywhere:
 a float entry is a ``TypeError``.
-The only diagonal pass is a commutator with a diagonal left operand: one
-pass that scales each entry of the other operand by a difference of two
-diagonal values.
 Values are treated as immutable: every operation returns a new object, so
 instances are safe to share across threads.
 """
@@ -248,17 +245,6 @@ class ExactMatrix:
         ent = {k: v * c for k, v in self.entries.items()}
         return ExactMatrix._raw(self.rows, self.cols, _canonical(ent))
 
-    def _diagonal_values(self):
-        # None unless strictly diagonal; cheap pre-gate on nnz keeps this O(n)
-        if self.rows != self.cols or len(self.entries) > self.rows:
-            return None
-        vals = {}
-        for (r, c), v in self.entries.items():
-            if r != c:
-                return None
-            vals[r] = v
-        return vals
-
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -341,27 +327,6 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         for (rb, cb), vb in b.entries.items():
             ent[(ra + rb * ar, ca + cb * ac)] = va * vb
     return ExactMatrix._raw(a.rows * b.rows, a.cols * b.cols, _canonical(ent))
-
-
-def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """a @ b - b @ a.
-
-    With a diagonal D on the left, entry (r, c) is (D[r] - D[c]) B[r, c]: one
-    multiply per entry of B whose factor is nonzero, and no intermediate
-    products.  This is the only diagonal pass; any other pair of operands,
-    a diagonal on the right included, takes the two products.
-    """
-    if a.rows == a.cols == b.rows == b.cols:
-        diag = a._diagonal_values()
-        if diag is not None:
-            get = diag.get
-            ent = {}
-            for (r, c), v in b.entries.items():
-                factor = get(r, 0) - get(c, 0)
-                if factor:
-                    ent[(r, c)] = _rat(factor * v)
-            return ExactMatrix._raw(a.rows, a.cols, ent)
-    return a @ b - b @ a
 
 
 def vectorize(m: ExactMatrix) -> ExactVector:

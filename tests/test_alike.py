@@ -552,7 +552,10 @@ def test_b_matrix_matches_the_entrywise_form(d):
     # real adjacency and alpha_star diagonals that b_matrix no longer builds
     _, ctx = hypercube(d)
     a = cube_adjacency(ctx).entries
-    s = {i: alpha_star(ctx, i)._diagonal_values() for i in range(1, d + 1)}
+    s = {}
+    for i in range(1, d + 1):
+        star = alpha_star(ctx, i)
+        s[i] = [star[x, x] for x in range(ctx.n)]
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
             si, sj = s[i], s[j]
@@ -1510,3 +1513,15 @@ def test_every_library_function_has_a_library_caller():
         and reads[node.name] == _names_read(node)[node.name]
     }
     assert sorted(uncalled - CALLED_FROM_OUTSIDE) == []
+    # the allowlist holds only names the tracer wraps, read from its source
+    tracing_py = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = ast.parse(tracing_py.read_text(encoding="utf-8"))
+    layers = next(
+        node.value
+        for node in tracing.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    targets = [t for ts in ast.literal_eval(layers).values() for t in ts]
+    wrapped = {t.rpartition(":")[2].rpartition(".")[2] for t in targets}
+    assert sorted(CALLED_FROM_OUTSIDE - wrapped) == []
