@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -197,6 +198,54 @@ def test_json_matrices_match_the_indent_encoder(labeled, path):
         assert _emit_matrices(SimpleNamespace(format="json"), labeled, payload) == 0
     assert out.getvalue() == expected
     assert json.loads(out.getvalue()) == document
+
+
+class _CharCounter:
+    """A stdout that keeps only how many characters were written to it."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+@pytest.mark.xfail(strict=True, reason="the writer holds a whole matrix's text")
+def test_json_matrix_is_written_without_its_dense_text():
+    # the dense text of this matrix is 63 MB; the writer may hold a row of it
+    n = 2048
+    m = ExactMatrix(n, n, {(0, 0): 1, (n // 2, 7): Fraction(-3, 5), (n - 1, n - 1): 2})
+    sink = _CharCounter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            _emit_matrices(SimpleNamespace(format="json"), [("m", m)], {"count": 1})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert sink.chars > 15 * n * n  # every cell went through the sink
+
+
+def triplet_document(labeled):
+    """The triplet text as one "\\n".join over the whole document."""
+    lines = []
+    for label, m in labeled:
+        lines.append(f"matrix {label} rows={m.rows} cols={m.cols}")
+        lines += (f"{r} {c} {v}" for (r, c), v in sorted(m.entries.items()))
+        lines.append("")
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(labeled_matrices())
+@example([])
+@example([("zero", ExactMatrix(2, 3))])
+def test_triplet_matrices_match_one_join_over_the_document(labeled):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        payload = {"count": len(labeled)}
+        assert _emit_matrices(SimpleNamespace(format="triplet"), labeled, payload) == 0
+    assert out.getvalue() == triplet_document(labeled)
 
 
 # -- solve ------------------------------------------------------------------------
