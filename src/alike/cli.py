@@ -72,77 +72,66 @@ def _emit(payload):
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _indented_list(items, indent):
-    """A list in json.dumps(indent=2) layout; each item carries its own indent."""
-    return "[" + ",".join(items) + "\n" + " " * indent + "]" if items else "[]"
-
-
 # a zero entry of a matrix row, at its indent in the json.dumps(indent=2) layout
 _ZERO = "\n" + " " * 10 + '"0"'
 
 
-def _zero_layout(rows, cols):
-    """The "entries" text of an all-zero rows x cols matrix, and its cell offsets.
+def _write_matrix(out, label, m):
+    """Write one element of "matrices", byte-identical to json.dumps(indent=2).
 
-    Returns (text, first, row_step): the '"0"' of cell (r, c) starts at
-    first + r * row_step + c * (len(_ZERO) + 1), since every cell and every
-    row of the layout has the same width.
+    Each row is cut from the text of one all-zero row, whose '"0"' cells sit
+    len(_ZERO) + 1 apart: its sorted nonzero entries replace their cells, and
+    a row with no nonzero entry is that text itself.  The rows go out in runs
+    of at least 64 KiB of text: a larger matrix is never one string, and it
+    takes few writes.
     """
-    row = "\n" + " " * 8 + _indented_list([_ZERO] * cols, 8)
-    text = _indented_list([row] * rows, 6)
-    return text, text.find('"0"'), len(row) + 1
-
-
-def _matrix_json(label, m, layout):
-    """One element of "matrices", byte-identical to json.dumps(indent=2).
-
-    ``layout`` is ``_zero_layout(m.rows, m.cols)``.  The element is cut from
-    its text: each nonzero entry, in row-major order, replaces the '"0"' at
-    its offset, and the zeros between are copied as slices.
-    """
-    text, first, row_step = layout
-    cell_step = len(_ZERO) + 1
+    cells = ",".join([_ZERO] * m.cols)
+    zero = "\n" + " " * 8 + ("[" + cells + "\n" + " " * 8 + "]" if cells else "[]")
+    first = zero.find('"0"')
+    rows = {}
+    for (r, c), v in sorted(m.entries.items()):
+        rows.setdefault(r, []).append((first + c * (len(_ZERO) + 1), v))
     pieces = [
         f'\n    {{\n      "label": {encode_basestring_ascii(label)},'
         f'\n      "rows": {m.rows},\n      "cols": {m.cols},'
         '\n      "entries": '
     ]
-    start = 0
-    for (r, c), v in sorted(m.entries.items()):
-        at = first + r * row_step + c * cell_step
-        pieces += (text[start:at], encode_basestring_ascii(str(v)))
-        start = at + len('"0"')
-    pieces += (text[start:], "\n    }")
-    return "".join(pieces)
+    per_write = 1 + (1 << 16) // len(zero)
+    for r in range(m.rows):
+        pieces.append("," if r else "[")
+        start = 0
+        for at, v in rows.get(r, ()):
+            pieces += (zero[start:at], encode_basestring_ascii(str(v)))
+            start = at + len('"0"')
+        pieces.append(zero[start:])
+        if r % per_write == per_write - 1:
+            out.write("".join(pieces))
+            pieces = []
+    pieces.append("\n      ]\n    }" if m.rows else "[]\n    }")
+    out.write("".join(pieces))
 
 
 def _emit_matrices(args, labeled, payload):
     """Write labeled matrices as triplets, or as ``payload`` plus "matrices".
 
     The JSON bytes are those of json.dumps(payload, indent=2) with the dense
-    "matrices" list as the last key.  Each matrix is cut from the zero
-    layout of its shape, built once per shape, and written at once, so the
-    document is never one string.
+    "matrices" list as the last key, and the triplet bytes are those of one
+    "\\n".join over the document.  Either way each matrix is written on its
+    own, a JSON one row at a time, so the document is never one string.
     """
+    out = sys.stdout  # looked up per call: callers redirect stdout
     if args.format == "json":
-        out = sys.stdout  # looked up per call: callers redirect stdout
         head = json.dumps(payload, indent=2)[: -len("\n}")]
         out.write(head + ',\n  "matrices": [')
-        layouts = {}
         for k, (label, m) in enumerate(labeled):
-            shape = (m.rows, m.cols)
-            if shape not in layouts:
-                layouts[shape] = _zero_layout(*shape)
-            out.write(("," if k else "") + _matrix_json(label, m, layouts[shape]))
+            out.write("," if k else "")
+            _write_matrix(out, label, m)
         out.write("\n  ]\n}\n" if labeled else "]\n}\n")
         return 0
-    lines = []
-    for label, matrix in labeled:
-        lines.append(f"matrix {label} rows={matrix.rows} cols={matrix.cols}")
-        for (r, c), v in sorted(matrix.entries.items()):
-            lines.append(f"{r} {c} {v}")
-        lines.append("")
-    sys.stdout.write("\n".join(lines))
+    for k, (label, m) in enumerate(labeled):
+        lines = [f"matrix {label} rows={m.rows} cols={m.cols}"]
+        lines += (f"{r} {c} {v}" for (r, c), v in sorted(m.entries.items()))
+        out.write(("\n" if k else "") + "\n".join(lines) + "\n")
     return 0
 
 
