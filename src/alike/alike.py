@@ -735,11 +735,11 @@ def _group_antisym_basis(check, ctx, g, rng):
         for ell in range(1, d + 1):
             ok = not _bracket(fb, fa[ell], -1 if ell in (i, j) else 1)
             check.require(ok, "b_{}{} sign relation with alpha_{} fails", i, j, ell)
-    formula, flip = _formula_lanes(ctx)
-    full, signs = (1 << n) - 1, [_sign_bits(check, ctx, mask) for mask in range(n)]
+    formula, flip = _formula_lanes(ctx)  # eigenbasis ties the real W_S to these
+    full = (1 << n) - 1
     for (i, j), b in zip(pairs, mats):
         lanes = _offset_signs(b, [ctx.bit(i), ctx.bit(j)], 2)
-        for mask, w in enumerate(signs):
+        for mask, w in enumerate(formula):
             coeff, target = bij_action_on_wS(ctx, i, j, mask)
             ok = lanes is not None and coeff in (0, 4, -4)
             if ok:  # b_ij W is 2 (-1)^t_i + 2 (-1)^t_j lane by lane

@@ -23,16 +23,15 @@ from json.encoder import encode_basestring_ascii
 from .alike import (
     DEFAULT_BRUTE_CAP,
     GROUP_NAMES,
-    closed_form_antisym_basis,
+    b_matrix,
     closed_form_spans,
-    closed_form_sym_basis,
     coordinate_pairs,
     resolve_groups,
     solve_alike,
     verify_all,
 )
-from .exactlinalg import span_equal
-from .hypercube import DEFAULT_CONSTRUCTION_CAP, hypercube, load_graph
+from .exactlinalg import ExactMatrix, span_equal
+from .hypercube import DEFAULT_CONSTRUCTION_CAP, alpha, hypercube, load_graph
 
 PARTS = ("full", "sym", "antisym")
 FORMATS = ("json", "triplet")
@@ -120,37 +119,41 @@ def _emit_matrices(args, labeled, payload):
     own, a JSON one row at a time, so the document is never one string.
     """
     out = sys.stdout  # looked up per call: callers redirect stdout
-    if args.format == "json":
-        head = json.dumps(payload, indent=2)[: -len("\n}")]
-        out.write(head + ',\n  "matrices": [')
-        for k, (label, m) in enumerate(labeled):
+    as_json = args.format == "json"
+    if as_json:
+        out.write(json.dumps(payload, indent=2)[: -len("\n}")] + ',\n  "matrices": [')
+    k = -1
+    for k, (label, m) in enumerate(labeled):
+        if as_json:
             out.write("," if k else "")
             _write_matrix(out, label, m)
-        out.write("\n  ]\n}\n" if labeled else "]\n}\n")
-        return 0
-    for k, (label, m) in enumerate(labeled):
-        lines = [f"matrix {label} rows={m.rows} cols={m.cols}"]
-        lines += (f"{r} {c} {v}" for (r, c), v in sorted(m.entries.items()))
-        out.write(("\n" if k else "") + "\n".join(lines) + "\n")
+        else:
+            lines = [f"matrix {label} rows={m.rows} cols={m.cols}"]
+            lines += (f"{r} {c} {v}" for (r, c), v in sorted(m.entries.items()))
+            out.write(("\n" if k else "") + "\n".join(lines) + "\n")
+        del m  # so the next matrix is not built beside this one
+    if as_json:
+        out.write("\n  ]\n}\n" if k >= 0 else "]\n}\n")
     return 0
 
 
 def _closed_form_matrices(ctx, part):
-    labeled = []
+    """(label, matrix) for the closed-form basis of ``part``, built one at a time."""
     if part != "antisym":
-        labels = ["identity"] + [f"alpha_{i}" for i in range(1, ctx.d + 1)]
-        labeled += zip(labels, closed_form_sym_basis(ctx))
+        yield "identity", ExactMatrix.identity(ctx.n)
+        for i in range(1, ctx.d + 1):
+            yield f"alpha_{i}", alpha(ctx, i)
     if part != "sym":
-        labels = [f"b_{i}_{j}" for i, j in coordinate_pairs(ctx.d)]
-        labeled += zip(labels, closed_form_antisym_basis(ctx))
-    return labeled
+        for i, j in coordinate_pairs(ctx.d):
+            yield f"b_{i}_{j}", b_matrix(ctx, i, j)
+
+
+def _formula(d):
+    return {"sym": d + 1, "antisym": math.comb(d, 2), "total": 1 + d + math.comb(d, 2)}
 
 
 def _solved_matrices(decomposition, part):
-    return [
-        (f"{part}_{k}", m)
-        for k, m in enumerate(decomposition.basis_matrices(part))
-    ]
+    return [(f"{part}_{k}", m) for k, m in enumerate(decomposition.basis_matrices(part))]
 
 
 def _source_payload(args):
@@ -179,12 +182,10 @@ def cmd_dims(args):
         payload.update(_dims(solve_alike(graph, cap=args.cap_bruteforce)))
         _emit(payload)
         return 0
-    d = ctx.d
     spans = closed_form_spans(ctx)
     dims = {"sym": spans["sym"].dim, "antisym": spans["antisym"].dim}
     dims["total"] = spans["full"].dim
-    formula = {"sym": d + 1, "antisym": math.comb(d, 2)}
-    formula["total"] = 1 + d + math.comb(d, 2)
+    formula = _formula(ctx.d)
     ok = dims == formula
     payload.update(dims, formula=formula, formula_agrees=ok)
     payload["bruteforce"] = {"within_cap": ctx.n <= args.cap_bruteforce}
@@ -200,11 +201,11 @@ def cmd_basis(args):
     graph, ctx = _load(args)
     if ctx is not None:
         labeled = _closed_form_matrices(ctx, args.part)
+        count = _formula(ctx.d)["total" if args.part == "full" else args.part]
     else:
-        decomposition = solve_alike(graph, cap=args.cap_bruteforce)
-        labeled = _solved_matrices(decomposition, args.part)
-    payload = {"source": _source_payload(args), "part": args.part}
-    payload["count"] = len(labeled)
+        labeled = _solved_matrices(solve_alike(graph, cap=args.cap_bruteforce), args.part)
+        count = len(labeled)
+    payload = {"source": _source_payload(args), "part": args.part, "count": count}
     return _emit_matrices(args, labeled, payload)
 
 
@@ -214,8 +215,7 @@ def cmd_solve(args):
     total, sym, antisym = decomposition.dims
     dims = {"total": total, "sym": sym, "antisym": antisym}
     payload = {"source": _source_payload(args), "dims": dims, "part": args.part}
-    labeled = _solved_matrices(decomposition, args.part)
-    return _emit_matrices(args, labeled, payload)
+    return _emit_matrices(args, _solved_matrices(decomposition, args.part), payload)
 
 
 def cmd_verify(args):

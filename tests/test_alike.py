@@ -1203,16 +1203,35 @@ def test_eigenbasis_rejects_a_vector_that_is_not_plus_minus_one(monkeypatch):
     assert group.witness == "W_1 is not a +-1 vector"
 
 
-def test_antisym_table_rejects_a_vector_that_is_not_plus_minus_one(monkeypatch):
-    def drop_first(vec):
-        return ExactVector(vec.n, {x: v for x, v in vec.entries.items() if x})
+def test_antisym_table_reads_no_library_sign_vector(monkeypatch):
+    # eigenbasis is the group that checks scaled_eigenvector; the table runs
+    # on the formula lanes
+    def refuse(ctx, mask):
+        raise AssertionError(f"antisym_basis read W_{mask}")
 
-    _patch_sign_vector(monkeypatch, 1, drop_first)
-    _, ctx = hypercube(2)
+    monkeypatch.setattr(alike_module, "scaled_eigenvector", refuse)
+    _, ctx = hypercube(3)
     group = verify_all(ctx, groups=["antisym_basis"], seed=0).group("antisym_basis")
-    # b_12's 4 + d relations pass; every W_S is packed before the table
-    assert (group.passed, group.checks) == (False, 6)
-    assert group.witness == "W_1 is not a +-1 vector"
+    # 4 + d relations for each of the 3 pairs, 8 table cases each, independence
+    assert (group.passed, group.checks, group.witness) == (True, 46, None)
+
+
+def test_antisym_table_detects_a_flipped_formula_lane(monkeypatch):
+    # flip lane x = 0 of W_3: a mask of two bits, so flip() still reads the
+    # single-bit lanes it moves by
+    original = alike_module._formula_lanes
+
+    def patched(ctx):
+        lanes, flip = original(ctx)
+        return [w ^ (mask == 3) for mask, w in enumerate(lanes)], flip
+
+    monkeypatch.setattr(alike_module, "_formula_lanes", patched)
+    _, ctx = hypercube(3)
+    group = verify_all(ctx, groups=["antisym_basis"], seed=0).group("antisym_basis")
+    # 4 + d relations for each of the 3 pairs and b_12 on W_0..W_2, then
+    # b_12 W_3 = 0 fails on the flipped lane
+    witness = "b_12 action on mask 3 does not match the table"
+    assert (group.passed, group.checks, group.witness) == (False, 21 + 3, witness)
 
 
 def _counting_span_calls(monkeypatch):

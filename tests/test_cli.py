@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
+import alike.cli as cli_module
 import alike.hypercube
 from alike.cli import _emit_matrices, main
 from alike.exactlinalg import ExactMatrix
 from alike.hypercube import hypercube
-from alike.alike import GROUP_NAMES, is_alike
+from alike.alike import GROUP_NAMES, b_matrix, is_alike
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +246,30 @@ def test_triplet_matrices_match_one_join_over_the_document(labeled):
         payload = {"count": len(labeled)}
         assert _emit_matrices(SimpleNamespace(format="triplet"), labeled, payload) == 0
     assert out.getvalue() == triplet_document(labeled)
+
+
+def _traced_peak(call):
+    """The tracemalloc peak of call() with stdout going to a _CharCounter."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_CharCounter()):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_basis_holds_one_closed_form_matrix_at_a_time(monkeypatch):
+    # writing the 45 b_ij of Q10 peaks as high as building and writing b_12
+    # alone; all 45 built before the first is written peak 27 times as high
+    loaded = hypercube(10)
+    monkeypatch.setattr(cli_module, "_load", lambda args: loaded)
+    args = SimpleNamespace(format="triplet")
+    one = _traced_peak(
+        lambda: _emit_matrices(args, (("b_1_2", b_matrix(loaded[1], 1, 2)),), {})
+    )
+    argv = ["basis", "--hypercube", "10", "--part", "antisym", "--format", "triplet"]
+    assert _traced_peak(lambda: main(argv)) < 2 * one
 
 
 # -- solve ------------------------------------------------------------------------
