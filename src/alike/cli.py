@@ -110,6 +110,11 @@ def _write_matrix(out, label, m):
     out.write("".join(pieces))
 
 
+def _write_triplets(out, label, m):
+    lines = (f"{r} {c} {v}" for (r, c), v in sorted(m.entries.items()))
+    out.write("\n".join([f"matrix {label} rows={m.rows} cols={m.cols}", *lines]) + "\n")
+
+
 def _emit_matrices(args, labeled, payload):
     """Write labeled matrices as triplets, or as ``payload`` plus "matrices".
 
@@ -122,18 +127,15 @@ def _emit_matrices(args, labeled, payload):
     as_json = args.format == "json"
     if as_json:
         out.write(json.dumps(payload, indent=2)[: -len("\n}")] + ',\n  "matrices": [')
-    k = -1
-    for k, (label, m) in enumerate(labeled):
-        if as_json:
-            out.write("," if k else "")
-            _write_matrix(out, label, m)
-        else:
-            lines = [f"matrix {label} rows={m.rows} cols={m.cols}"]
-            lines += (f"{r} {c} {v}" for (r, c), v in sorted(m.entries.items()))
-            out.write(("\n" if k else "") + "\n".join(lines) + "\n")
+    write, between = (_write_matrix, ",") if as_json else (_write_triplets, "\n")
+    sep = ""
+    for label, m in labeled:  # not enumerate: its reused tuple would keep m
+        out.write(sep)
+        write(out, label, m)
+        sep = between
         del m  # so the next matrix is not built beside this one
     if as_json:
-        out.write("\n  ]\n}\n" if k >= 0 else "]\n}\n")
+        out.write("\n  ]\n}\n" if sep else "]\n}\n")
     return 0
 
 
@@ -141,11 +143,9 @@ def _closed_form_matrices(ctx, part):
     """(label, matrix) for the closed-form basis of ``part``, built one at a time."""
     if part != "antisym":
         yield "identity", ExactMatrix.identity(ctx.n)
-        for i in range(1, ctx.d + 1):
-            yield f"alpha_{i}", alpha(ctx, i)
+        yield from ((f"alpha_{i}", alpha(ctx, i)) for i in range(1, ctx.d + 1))
     if part != "sym":
-        for i, j in coordinate_pairs(ctx.d):
-            yield f"b_{i}_{j}", b_matrix(ctx, i, j)
+        yield from ((f"b_{i}_{j}", b_matrix(ctx, i, j)) for i, j in coordinate_pairs(ctx.d))
 
 
 def _formula(d):

@@ -248,28 +248,30 @@ def test_triplet_matrices_match_one_join_over_the_document(labeled):
     assert out.getvalue() == triplet_document(labeled)
 
 
-def _traced_peak(call):
-    """The tracemalloc peak of call() with stdout going to a _CharCounter."""
+def test_basis_holds_one_closed_form_matrix_at_a_time(monkeypatch):
+    # the traced memory as each b_ij of Q11 starts to be built: every earlier
+    # matrix written and dropped, it is where it was for b_12, give or take
+    # the at most 2000 freed pairs (110 KiB) that CPython keeps for reuse
+    loaded = hypercube(11)
+    monkeypatch.setattr(cli_module, "_load", lambda args: loaded)
+    before, sizes = [], []
+
+    def traced_b_matrix(ctx, i, j):
+        before.append(tracemalloc.get_traced_memory()[0])
+        m = b_matrix(ctx, i, j)
+        sizes.append(tracemalloc.get_traced_memory()[0] - before[-1])
+        return m
+
+    monkeypatch.setattr(cli_module, "b_matrix", traced_b_matrix)
+    argv = ["basis", "--hypercube", "11", "--part", "antisym", "--format", "triplet"]
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(_CharCounter()):
-            call()
-        return tracemalloc.get_traced_memory()[1]
+            main(argv)
     finally:
         tracemalloc.stop()
-
-
-def test_basis_holds_one_closed_form_matrix_at_a_time(monkeypatch):
-    # writing the 45 b_ij of Q10 peaks as high as building and writing b_12
-    # alone; all 45 built before the first is written peak 27 times as high
-    loaded = hypercube(10)
-    monkeypatch.setattr(cli_module, "_load", lambda args: loaded)
-    args = SimpleNamespace(format="triplet")
-    one = _traced_peak(
-        lambda: _emit_matrices(args, (("b_1_2", b_matrix(loaded[1], 1, 2)),), {})
-    )
-    argv = ["basis", "--hypercube", "10", "--part", "antisym", "--format", "triplet"]
-    assert _traced_peak(lambda: main(argv)) < 2 * one
+    assert len(before) == 55
+    assert max(before) - before[0] < min(sizes) // 2
 
 
 # -- solve ------------------------------------------------------------------------
